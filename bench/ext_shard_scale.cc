@@ -1,18 +1,22 @@
 // Extension: sharded scatter-gather search with cost-model routing.
-// Clustered vector workload (L2, the paper's biased query model), split
-// into 1 / 4 / 16 shards. For each shard count the same range and k-NN
+// Clustered vector workload (L2, the paper's biased query model: queries
+// are drawn around the data's own cluster centres, same seed), split into
+// 1 / 4 / 16 shards. For each shard count the same range and k-NN
 // workloads run twice — naive scatter (every shard dispatched, shard
-// order) and cost routing (provable annulus skips + cheapest-first
-// dispatch with k-NN bound propagation) — and the QPS grid answers the
-// range workload through a BatchExecutor at 1/2/4/8 threads with
-// per-query latency percentiles in the summary records. One admission
-// case runs the 8-thread grid point under a deliberately small
+// order) and cost routing (provable annulus skips + nearest-pivot-first
+// dispatch with k-NN bound propagation; per-shard k-NN costs memoized per
+// k, so planning is a lookup after the first query) — and the QPS grid
+// answers the range workload through a BatchExecutor at 1/2/4/8 threads
+// with per-query latency percentiles in the summary records. One
+// admission case runs the 8-thread grid point under a deliberately small
 // predicted-node budget to show queueing instead of buffer-pool thrash.
 //
-// The emitted BENCH_shard_scale.json backs two CTest gates:
-//   bench_json_schema_shard   — schema (incl. latency_us percentiles);
-//   bench_compare_shard       — routed_s<max> must read <= 0.85x the
-//                               nodes of naive_s<max>.
+// The emitted BENCH_shard_scale.json backs four CTest gates:
+//   bench_json_schema_shard     — schema (incl. latency_us percentiles);
+//   bench_compare_shard         — routed_s16 must read <= 0.85x the nodes
+//                                 of naive_s16;
+//   bench_compare_shard_knn_s4  — routed k-NN p50 latency at 4 and 16
+//   bench_compare_shard_knn_s16   shards <= 2x the 1-shard p50 (same run).
 //
 // Scale knobs: MCM_N (default 20000), MCM_QUERIES (default 100),
 //              MCM_SHARDS (default "1,4,16"), MCM_SHARD_ASSIGN,
@@ -76,7 +80,7 @@ int main() {
   const auto objects =
       GenerateVectorDataset(VectorDatasetKind::kClustered, n, dim, kSeed);
   const auto queries = GenerateVectorQueries(VectorDatasetKind::kClustered,
-                                             num_queries, dim, kSeed + 1);
+                                             num_queries, dim, kSeed);
 
   // Radius targeting ~10 results per query on average: F̂⁻¹(10/n) over
   // the global distance distribution.

@@ -2,9 +2,23 @@
 
 #include <cmath>
 #include <cstdint>
+#include <math.h>
 #include <stdexcept>
 
 namespace mcm {
+
+namespace {
+
+// lgamma stores the sign of Γ(x) in the global `signgam`, a data race when
+// cost models integrate on several threads at once (the shard router
+// prices shards from concurrent queries). lgamma_r returns the same value
+// and writes the sign to a local instead.
+double LogGamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
+}  // namespace
 
 double LogBinomial(uint64_t n, uint64_t k) {
   if (k > n) {
@@ -13,9 +27,9 @@ double LogBinomial(uint64_t n, uint64_t k) {
   if (k == 0 || k == n) {
     return 0.0;
   }
-  return std::lgamma(static_cast<double>(n) + 1.0) -
-         std::lgamma(static_cast<double>(k) + 1.0) -
-         std::lgamma(static_cast<double>(n - k) + 1.0);
+  return LogGamma(static_cast<double>(n) + 1.0) -
+         LogGamma(static_cast<double>(k) + 1.0) -
+         LogGamma(static_cast<double>(n - k) + 1.0);
 }
 
 double BinomialLowerTail(uint64_t n, uint64_t k, double p) {

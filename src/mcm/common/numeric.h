@@ -13,7 +13,8 @@
 namespace mcm {
 
 /// Natural log of the binomial coefficient C(n, k). Exact for k==0 / k==n,
-/// computed via lgamma otherwise. Requires 0 <= k <= n.
+/// computed via lgamma otherwise (the reentrant form, so concurrent callers
+/// are safe). Requires 0 <= k <= n.
 double LogBinomial(uint64_t n, uint64_t k);
 
 /// Lower binomial tail: sum_{i=0}^{k-1} C(n,i) p^i (1-p)^{n-i}.

@@ -27,10 +27,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <stdlib.h>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -104,7 +107,10 @@ class StreamBulkLoader {
   using Tree = MTree<Traits>;
 
   /// Builds a tree from `source`. `spill_dir` must be a writable existing
-  /// directory; spill files are created and removed inside it. The budget
+  /// directory. A load that spills creates a private mkdtemp subdirectory
+  /// of it for its spill files and removes that subdirectory, files
+  /// included, before returning or throwing, so loads sharing `spill_dir`
+  /// never touch each other's spills. The budget
   /// is `ingest_budget_bytes` when > 0, else MCM_INGEST_BUDGET, else
   /// 256 MiB. When `stats` is non-null it receives the total build
   /// distance ledger (assignment + subtree + glue distances).
@@ -182,6 +188,10 @@ class StreamBulkLoader {
   ~StreamBulkLoader() {
     for (Spill& spill : spills_) {
       CloseAndRemove(spill);
+    }
+    if (!private_dir_.empty()) {
+      std::error_code ignored;
+      std::filesystem::remove_all(private_dir_, ignored);
     }
   }
 
@@ -267,10 +277,16 @@ class StreamBulkLoader {
   /// Pass B: stream again in bounded batches, assign each object to its
   /// nearest seed, append to that partition's spill file.
   void SpillPass(size_t parts) {
+    std::string pattern = spill_dir_ + "/mcm_spill_XXXXXX";
+    if (::mkdtemp(pattern.data()) == nullptr) {
+      throw std::runtime_error(
+          "StreamBulkLoader: cannot create a spill directory under " +
+          spill_dir_);
+    }
+    private_dir_ = std::move(pattern);
     spills_.resize(parts);
     for (size_t p = 0; p < parts; ++p) {
-      spills_[p].path = spill_dir_ + "/mcm_spill_" + std::to_string(p) +
-                        ".bin";
+      spills_[p].path = private_dir_ + "/" + std::to_string(p) + ".bin";
       spills_[p].file = std::fopen(spills_[p].path.c_str(), "wb+");
       if (spills_[p].file == nullptr) {
         throw std::runtime_error("StreamBulkLoader: cannot create spill " +
@@ -492,6 +508,8 @@ class StreamBulkLoader {
   Tree& tree_;
   ObjectSource<Traits>& source_;
   std::string spill_dir_;
+  /// This load's mkdtemp subdirectory of spill_dir_ (empty until spilling).
+  std::string private_dir_;
   uint64_t budget_;
   CountedMetric<Metric> metric_;  ///< Counts seed-assignment distances.
   RandomEngine rng_;

@@ -8,21 +8,30 @@
 //    d(Q, O) >= max(dp - rmax, rmin - dp, 0); a range query whose radius
 //    falls strictly below that bound is never dispatched (and for k-NN
 //    the same bound is checked against the running k-th distance);
-//  - orders the surviving shards cheapest-first by predicted node reads,
-//    so a k-NN scatter establishes a tight k-th distance early and sends
-//    only range(Q, r_k) — the witness-style bound propagation — to every
-//    later shard;
+//  - dispatches the surviving shards nearest-pivot-first, by (annulus
+//    bound, d(Q, pivot), shard id) — the closest known distance first, as
+//    in the Cascading Metric Tree — so a k-NN scatter establishes a tight
+//    k-th distance early and sends only range(Q, r_k) — the witness-style
+//    bound propagation — to every later shard;
 //  - merges through the engine collectors (distance-then-oid order), so
 //    the answer list is bit-identical to the unsharded index at any
 //    shard count; with one shard the query passes straight through and
 //    even the counters match the unsharded tree.
 //
+// The k-NN prediction (Eqs. 9-14) depends on a shard's F̂_s, its node
+// statistics and k, never on the query object, so the router memoizes
+// each shard's NnNodes / NnDistances per requested k: the first query for
+// a k integrates once, every later one looks the values up. Range
+// predictions stay per-query (they depend on the radius). Predicted costs
+// feed admission control and EXPLAIN, not the dispatch order.
+//
 // ShardRouter satisfies the MetricIndex concept (const, concurrently
 // callable), so engine::BatchExecutor<ShardRouter<...>> parallelizes
 // query batches over it unchanged; the AdmissionController then throttles
 // aggregate predicted node reads and per-shard concurrency under load.
-// Per-query work is attributed through the obs registry counters
-// mcm.shard.dispatched / mcm.shard.skipped / mcm.shard.nodes.
+// Planning runs inside a QueryPhase::kPlan span. Per-query work is
+// attributed through the obs registry counters mcm.shard.dispatched /
+// mcm.shard.skipped / mcm.shard.nodes.
 
 #ifndef MCM_SHARD_ROUTER_H_
 #define MCM_SHARD_ROUTER_H_
@@ -31,14 +40,19 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "mcm/common/env.h"
+#include "mcm/common/mutex.h"
 #include "mcm/common/query_stats.h"
+#include "mcm/common/thread_annotations.h"
 #include "mcm/engine/search_core.h"
 #include "mcm/obs/metrics.h"
+#include "mcm/obs/phase.h"
 #include "mcm/shard/admission.h"
 #include "mcm/shard/explain.h"
 #include "mcm/shard/sharded_index.h"
@@ -56,8 +70,10 @@ inline double InflightBudgetFromEnv() {
 /// Router configuration.
 struct RouterOptions {
   /// Cost-model routing: skip provably empty shards and dispatch the rest
-  /// cheapest-first. Off = naive scatter (every non-empty shard, in shard
-  /// order, no pivot distances) — the bench baseline.
+  /// nearest-pivot-first (annulus bound, then d(Q, pivot), then shard id).
+  /// Off = naive scatter (every non-empty shard, in shard order, no pivot
+  /// distances) — the bench baseline. Either way shards are priced with
+  /// their N-MCM (memoized per k for k-NN) for admission and EXPLAIN.
   bool cost_routing = true;
   /// Predicted-node admission budget; < 0 resolves MCM_SHARD_INFLIGHT,
   /// 0 disables admission control.
@@ -73,12 +89,15 @@ struct ShardDecision {
   const char* reason = "dispatched";
   /// Proven lower bound on d(Q, member) over the shard (annulus bound).
   double lower_bound = 0.0;
+  /// d(Q, pivot): the dispatch tie-break among equal bounds (0 under
+  /// naive scatter, which spends no pivot distance).
+  double pivot_distance = 0.0;
   double predicted_nodes = 0.0;
   double predicted_dists = 0.0;
 };
 
 /// The routing plan for one query: per-shard decisions (by shard id) and
-/// the dispatch order (cheapest predicted cost first).
+/// the dispatch order (nearest pivot first).
 struct RoutePlan {
   std::vector<ShardDecision> decisions;
   std::vector<size_t> order;  ///< Dispatched shard ids, execution order.
@@ -151,20 +170,18 @@ class ShardRouter {
   }
 
   /// The routing plan for NN(Q, k). No shard can be skipped up front
-  /// (the k-th distance is unknown), but the cheapest-first order decides
-  /// how fast the bound tightens; the execution-time annulus check
-  /// against the running bound does the skipping.
+  /// (the k-th distance is unknown), but the nearest-pivot-first order
+  /// decides how fast the bound tightens; the execution-time annulus check
+  /// against the running bound does the skipping. Predicted costs come
+  /// from the per-k memo, so only the first plan for a k integrates.
   RoutePlan PlanKnn(const Object& query, size_t k,
                     QueryStats* stats = nullptr) const {
     RoutePlan plan = MakeDecisions(query, stats);
+    const std::vector<KnnCost>& costs = KnnCosts(k);
     for (ShardDecision& d : plan.decisions) {
       if (!d.dispatched) continue;
-      const ShardSidecar<Traits>& sidecar = index_.sidecar(d.shard);
-      const size_t shard_k = std::min(k, index_.tree(d.shard).size());
-      if (sidecar.model.has_value() && shard_k > 0) {
-        d.predicted_nodes = sidecar.model->NnNodes(shard_k);
-        d.predicted_dists = sidecar.model->NnDistances(shard_k);
-      }
+      d.predicted_nodes = costs[d.shard].nodes;
+      d.predicted_dists = costs[d.shard].dists;
     }
     FinishPlan(&plan);
     return plan;
@@ -194,6 +211,38 @@ class ShardRouter {
   }
 
  private:
+  /// One shard's predicted k-NN cost: NnNodes / NnDistances at
+  /// min(k, |s|), or zeros for a shard without a model.
+  struct KnnCost {
+    double nodes = 0.0;
+    double dists = 0.0;
+  };
+
+  /// Every shard's k-NN prediction for `k`, integrated once per k. The
+  /// lock is never held while a model integrates: concurrent first
+  /// queries for one k each compute the same deterministic values and the
+  /// first insert wins. Entries are never erased or modified, so the
+  /// returned reference stays valid for the router's lifetime.
+  const std::vector<KnnCost>& KnnCosts(size_t k) const
+      MCM_EXCLUDES(knn_costs_mu_) {
+    {
+      MutexLock lock(&knn_costs_mu_);
+      const auto it = knn_costs_.find(k);
+      if (it != knn_costs_.end()) return it->second;
+    }
+    std::vector<KnnCost> costs(index_.num_shards());
+    for (size_t s = 0; s < costs.size(); ++s) {
+      const ShardSidecar<Traits>& sidecar = index_.sidecar(s);
+      const size_t shard_k = std::min(k, index_.tree(s).size());
+      if (sidecar.model.has_value() && shard_k > 0) {
+        costs[s].nodes = sidecar.model->NnNodes(shard_k);
+        costs[s].dists = sidecar.model->NnDistances(shard_k);
+      }
+    }
+    MutexLock lock(&knn_costs_mu_);
+    return knn_costs_.emplace(k, std::move(costs)).first->second;
+  }
+
   /// Shared first phase of both plans: per-shard pivot distance (charged
   /// to `stats`) and the annulus lower bound. Empty shards come back
   /// undispatched; with cost routing off no pivot distance is spent and
@@ -214,15 +263,16 @@ class ShardRouter {
       const ShardSidecar<Traits>& sidecar = index_.sidecar(s);
       const double dp = index_.metric()(query, sidecar.pivot);
       if (stats != nullptr) ++stats->distance_computations;
+      d.pivot_distance = dp;
       d.lower_bound = std::max(
           {dp - sidecar.rmax, sidecar.rmin - dp, 0.0});
     }
     return plan;
   }
 
-  /// Orders dispatched shards cheapest-first (predicted nodes, then the
-  /// annulus bound, then shard id — fully deterministic) and fills the
-  /// plan totals. Naive scatter keeps plain shard order.
+  /// Orders dispatched shards nearest-pivot-first (annulus bound, then
+  /// d(Q, pivot), then shard id — fully deterministic) and fills the plan
+  /// totals. Naive scatter keeps plain shard order.
   void FinishPlan(RoutePlan* plan) const {
     for (const ShardDecision& d : plan->decisions) {
       if (d.dispatched) {
@@ -237,13 +287,8 @@ class ShardRouter {
                 [plan](size_t a, size_t b) {
                   const ShardDecision& da = plan->decisions[a];
                   const ShardDecision& db = plan->decisions[b];
-                  if (da.predicted_nodes != db.predicted_nodes) {
-                    return da.predicted_nodes < db.predicted_nodes;
-                  }
-                  if (da.lower_bound != db.lower_bound) {
-                    return da.lower_bound < db.lower_bound;
-                  }
-                  return a < b;
+                  return std::tie(da.lower_bound, da.pivot_distance, a) <
+                         std::tie(db.lower_bound, db.pivot_distance, b);
                 });
     }
   }
@@ -325,7 +370,10 @@ class ShardRouter {
     }
     QueryStats local_stats;
     QueryStats* st = stats != nullptr ? stats : &local_stats;
-    const RoutePlan plan = PlanRange(query, radius, st);
+    const RoutePlan plan = [&] {
+      ScopedSpan plan_span(st, QueryPhase::kPlan);
+      return PlanRange(query, radius, st);
+    }();
     QueryTicket ticket(&admission_, plan.predicted_nodes);
     std::vector<Result> merged;
     for (const size_t s : plan.order) {
@@ -360,7 +408,10 @@ class ShardRouter {
     }
     QueryStats local_stats;
     QueryStats* st = stats != nullptr ? stats : &local_stats;
-    RoutePlan plan = PlanKnn(query, k, st);
+    RoutePlan plan = [&] {
+      ScopedSpan plan_span(st, QueryPhase::kPlan);
+      return PlanKnn(query, k, st);
+    }();
     QueryTicket ticket(&admission_, plan.predicted_nodes);
     engine::KnnCollector<Object> collector(k);
     size_t executed = 0;
@@ -409,6 +460,10 @@ class ShardRouter {
   const ShardedMTree<Traits>& index_;
   RouterOptions options_;
   mutable AdmissionController admission_;
+  mutable Mutex knn_costs_mu_;
+  /// Per-k memo of every shard's k-NN prediction (16 B per shard and k).
+  mutable std::map<size_t, std::vector<KnnCost>> knn_costs_
+      MCM_GUARDED_BY(knn_costs_mu_);
   Counter& dispatched_counter_;
   Counter& skipped_counter_;
   Counter& nodes_counter_;

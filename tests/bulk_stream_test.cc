@@ -4,8 +4,12 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <exception>
+#include <filesystem>
+#include <latch>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +19,7 @@
 #include "mcm/metric/traits.h"
 #include "mcm/mtree/bulk_load.h"
 #include "mcm/mtree/bulk_stream.h"
+#include "temp_dir.h"
 
 namespace mcm {
 namespace {
@@ -63,19 +68,19 @@ std::vector<unsigned char> BulkLoadPageBytes(
   return FileBytes(path);
 }
 
-// Builds with the streaming loader (spilling under `budget`) into a real
-// page file and returns the flushed file's bytes.
+// Builds with the streaming loader (spilling under `budget` into
+// `spill_dir`) into a real page file and returns the flushed file's bytes.
 std::vector<unsigned char> StreamLoadPageBytes(
     const std::vector<FloatVector>& data, MTreeOptions options,
-    int64_t budget, const std::string& path) {
+    int64_t budget, const std::string& path,
+    const std::string& spill_dir = ::testing::TempDir()) {
   auto store = std::make_unique<PagedNodeStore<VecTraits>>(
       std::make_unique<StdioPageFile>(path, options.node_size_bytes),
       options.buffer_pool_frames);
   auto* paged = store.get();
   VectorObjectSource<VecTraits> source(data);
   auto tree = StreamBulkLoader<VecTraits>::Load(
-      source, LInfDistance{}, options, std::move(store),
-      ::testing::TempDir(), budget);
+      source, LInfDistance{}, options, std::move(store), spill_dir, budget);
   paged->Flush();
   return FileBytes(path);
 }
@@ -85,21 +90,19 @@ TEST(ParallelBulkLoad, PageBytesIdenticalAcrossThreadCounts) {
   MTreeOptions options;
   options.node_size_bytes = 1024;
 
+  const test::ScopedTempDir dir;
   options.build_threads = 1;
-  const std::string ref_path = ::testing::TempDir() + "/mcm_bulk_t1.bin";
-  const auto reference = BulkLoadPageBytes(data, options, ref_path);
+  const auto reference =
+      BulkLoadPageBytes(data, options, dir.File("bulk_t1.bin"));
   ASSERT_FALSE(reference.empty());
 
   for (const size_t threads : {2u, 4u, 8u}) {
     options.build_threads = threads;
-    const std::string path = ::testing::TempDir() + "/mcm_bulk_t" +
-                             std::to_string(threads) + ".bin";
-    const auto bytes = BulkLoadPageBytes(data, options, path);
+    const auto bytes = BulkLoadPageBytes(
+        data, options, dir.File("bulk_t" + std::to_string(threads) + ".bin"));
     EXPECT_EQ(bytes, reference) << "thread count " << threads
                                 << " changed the page bytes";
-    std::remove(path.c_str());
   }
-  std::remove(ref_path.c_str());
 }
 
 TEST(StreamBulkLoad, PageBytesIdenticalAcrossThreadCounts) {
@@ -110,21 +113,66 @@ TEST(StreamBulkLoad, PageBytesIdenticalAcrossThreadCounts) {
   // (several dozen partitions).
   const int64_t budget = 128 << 10;
 
+  const test::ScopedTempDir dir;
   options.build_threads = 1;
-  const std::string ref_path = ::testing::TempDir() + "/mcm_stream_t1.bin";
-  const auto reference = StreamLoadPageBytes(data, options, budget, ref_path);
+  const auto reference =
+      StreamLoadPageBytes(data, options, budget, dir.File("stream_t1.bin"));
   ASSERT_FALSE(reference.empty());
 
   for (const size_t threads : {2u, 4u, 8u}) {
     options.build_threads = threads;
-    const std::string path = ::testing::TempDir() + "/mcm_stream_t" +
-                             std::to_string(threads) + ".bin";
-    const auto bytes = StreamLoadPageBytes(data, options, budget, path);
+    const auto bytes = StreamLoadPageBytes(
+        data, options, budget,
+        dir.File("stream_t" + std::to_string(threads) + ".bin"));
     EXPECT_EQ(bytes, reference) << "thread count " << threads
                                 << " changed the page bytes";
-    std::remove(path.c_str());
   }
-  std::remove(ref_path.c_str());
+}
+
+// Two loads spilling into one directory at the same time keep their spill
+// files apart: each yields the page bytes of a solo load (different
+// dimensionalities, so a shared spill file could not go unnoticed), and
+// the shared directory is left empty.
+TEST(StreamBulkLoad, ConcurrentLoadsShareOneSpillDirectory) {
+  const std::vector<std::vector<FloatVector>> data = {
+      GenerateClustered(20000, 8, 93), GenerateClustered(20000, 6, 95)};
+  MTreeOptions options;
+  options.node_size_bytes = 1024;
+  options.build_threads = 2;
+  const int64_t budget = 128 << 10;  // Spills several dozen partitions.
+  const test::ScopedTempDir spill_dir;
+  const test::ScopedTempDir pages;
+
+  std::vector<std::vector<unsigned char>> solo(data.size());
+  for (size_t i = 0; i < data.size(); ++i) {
+    solo[i] = StreamLoadPageBytes(data[i], options, budget,
+                                  pages.File("solo" + std::to_string(i)),
+                                  spill_dir.path());
+    ASSERT_FALSE(solo[i].empty());
+  }
+
+  std::vector<std::vector<unsigned char>> together(data.size());
+  std::vector<std::exception_ptr> errors(data.size());
+  std::latch start(static_cast<std::ptrdiff_t>(data.size()));
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < data.size(); ++i) {
+    threads.emplace_back([&, i] {
+      start.arrive_and_wait();
+      try {
+        together[i] = StreamLoadPageBytes(
+            data[i], options, budget,
+            pages.File("together" + std::to_string(i)), spill_dir.path());
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t i = 0; i < data.size(); ++i) {
+    EXPECT_FALSE(errors[i]) << "load " << i << " threw";
+    EXPECT_EQ(together[i], solo[i]) << "load " << i << " changed its pages";
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(spill_dir.path()));
 }
 
 TEST(StreamBulkLoad, SpillPathMatchesInMemoryAnswers) {
@@ -175,17 +223,14 @@ TEST(StreamBulkLoad, LargeBudgetTakesInMemoryPathBitIdentically) {
   MTreeOptions options;
   options.node_size_bytes = 1024;
 
-  const std::string bulk_path = ::testing::TempDir() + "/mcm_inmem_bulk.bin";
-  const std::string stream_path =
-      ::testing::TempDir() + "/mcm_inmem_stream.bin";
-  const auto bulk_bytes = BulkLoadPageBytes(data, options, bulk_path);
+  const test::ScopedTempDir dir;
+  const auto bulk_bytes =
+      BulkLoadPageBytes(data, options, dir.File("inmem_bulk.bin"));
   const auto stream_bytes = StreamLoadPageBytes(
-      data, options, /*budget=*/1 << 30, stream_path);
+      data, options, /*budget=*/1 << 30, dir.File("inmem_stream.bin"));
   // A dataset far under budget must delegate to the in-memory loader and
   // reproduce its pages exactly.
   EXPECT_EQ(stream_bytes, bulk_bytes);
-  std::remove(bulk_path.c_str());
-  std::remove(stream_path.c_str());
 }
 
 TEST(StreamBulkLoad, EmptyAndTinySources) {

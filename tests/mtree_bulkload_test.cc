@@ -10,6 +10,7 @@
 #include "mcm/metric/traits.h"
 #include "mcm/mtree/bulk_load.h"
 #include "mcm/check/check_mtree.h"
+#include "temp_dir.h"
 
 namespace mcm {
 namespace {
@@ -117,7 +118,8 @@ TEST(BulkLoad, WorksOnRealDiskFile) {
   MTreeOptions options;
   options.node_size_bytes = 1024;
   options.buffer_pool_frames = 8;  // Tiny pool forces real page traffic.
-  const std::string path = ::testing::TempDir() + "/mcm_bulk_disk.bin";
+  const test::ScopedTempDir dir;
+  const std::string path = dir.File("bulk_disk.bin");
   auto store = std::make_unique<PagedNodeStore<VecTraits>>(
       std::make_unique<StdioPageFile>(path, options.node_size_bytes),
       options.buffer_pool_frames);
@@ -128,7 +130,6 @@ TEST(BulkLoad, WorksOnRealDiskFile) {
   EXPECT_EQ(tree.RangeSearch(data[0], 0.0).size(),
             static_cast<size_t>(std::count(data.begin(), data.end(),
                                            data[0])));
-  std::remove(path.c_str());
 }
 
 TEST(BulkLoad, AllDuplicateObjectsHandled) {

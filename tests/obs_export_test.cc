@@ -8,6 +8,8 @@
 #include <sstream>
 #include <string>
 
+#include "temp_dir.h"
+
 namespace mcm {
 namespace {
 
@@ -70,7 +72,8 @@ TEST(ParseJsonTest, RejectsMalformedInput) {
 }
 
 TEST(JsonlWriterTest, RoundTripsThroughParser) {
-  const std::string path = ::testing::TempDir() + "/obs_export_test.jsonl";
+  const test::ScopedTempDir dir;
+  const std::string path = dir.File("export.jsonl");
   {
     JsonlWriter writer(path);
     ASSERT_TRUE(writer.ok());
@@ -102,11 +105,11 @@ TEST(JsonlWriterTest, RoundTripsThroughParser) {
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->Find("label")->string_value, "D=10 \"quoted\"");
   EXPECT_FALSE(std::getline(in, line));
-  std::remove(path.c_str());
 }
 
 TEST(CsvWriterTest, QuotesAndPadsRows) {
-  const std::string path = ::testing::TempDir() + "/obs_export_test.csv";
+  const test::ScopedTempDir dir;
+  const std::string path = dir.File("export.csv");
   {
     CsvWriter writer(path, {"case", "stream", "value"});
     ASSERT_TRUE(writer.ok());
@@ -121,7 +124,6 @@ TEST(CsvWriterTest, QuotesAndPadsRows) {
   EXPECT_EQ(line, "D=10,N-MCM/nodes,1.5");
   ASSERT_TRUE(std::getline(in, line));
   EXPECT_EQ(line, "\"has,comma\",\"has\"\"quote\",");
-  std::remove(path.c_str());
 }
 
 }  // namespace

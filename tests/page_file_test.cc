@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include "temp_dir.h"
+
 namespace mcm {
 namespace {
 
@@ -16,15 +18,11 @@ class PageFileTest : public ::testing::TestWithParam<std::string> {
     if (GetParam() == "memory") {
       return std::make_unique<InMemoryPageFile>(page_size);
     }
-    path_ = ::testing::TempDir() + "/mcm_pagefile_test.bin";
-    return std::make_unique<StdioPageFile>(path_, page_size);
+    return std::make_unique<StdioPageFile>(dir_.File("pages.bin"),
+                                           page_size);
   }
 
-  void TearDown() override {
-    if (!path_.empty()) std::remove(path_.c_str());
-  }
-
-  std::string path_;
+  test::ScopedTempDir dir_;
 };
 
 TEST_P(PageFileTest, AllocateReadWriteRoundTrip) {

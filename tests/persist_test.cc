@@ -12,6 +12,7 @@
 #include "mcm/mtree/bulk_load.h"
 #include "mcm/mtree/persist.h"
 #include "mcm/check/check_mtree.h"
+#include "temp_dir.h"
 
 namespace mcm {
 namespace {
@@ -21,20 +22,9 @@ using StrTraits = StringTraits<>;
 
 class PersistTest : public ::testing::Test {
  protected:
-  std::string Path(const std::string& name) {
-    const std::string path = ::testing::TempDir() + "/" + name;
-    paths_.push_back(path);
-    return path;
-  }
+  std::string Path(const std::string& name) const { return dir_.File(name); }
 
-  void TearDown() override {
-    for (const auto& p : paths_) {
-      std::remove(p.c_str());
-      std::remove((p + ".meta").c_str());
-    }
-  }
-
-  std::vector<std::string> paths_;
+  test::ScopedTempDir dir_;
 };
 
 TEST_F(PersistTest, VectorTreeRoundTrip) {

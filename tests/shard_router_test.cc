@@ -8,15 +8,22 @@
 //  - Provable skipping: every shard the range plan skips is exhaustively
 //    verified to contain no result.
 //  - k-NN bound propagation tightens work without changing answers.
+//  - Nearest-pivot-first dispatch: the plan order is sorted by (annulus
+//    bound, pivot distance, shard id).
+//  - Memoized k-NN costs equal the direct N-MCM calls bit for bit, cold
+//    and warm, and a concurrent cold start changes no answer.
 //  - Admission control under a tiny budget neither deadlocks nor changes
 //    batch results.
 //  - Persistence round-trips trees and sidecars.
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <algorithm>
+#include <map>
 #include <set>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "mcm/dataset/vector_datasets.h"
@@ -28,6 +35,7 @@
 #include "mcm/shard/partition.h"
 #include "mcm/shard/router.h"
 #include "mcm/shard/sharded_index.h"
+#include "temp_dir.h"
 
 namespace mcm {
 namespace {
@@ -192,8 +200,10 @@ TEST(ShardRouter, SkippedShardsProvablyEmpty) {
   EXPECT_GT(total_skips, 0u);
 }
 
-// Cost routing must reduce total node reads on the clustered workload
-// (skips + cheapest-first k-NN bounds), while answers stay identical.
+// Cost routing must reduce node reads on the clustered workload, for range
+// (provable annulus skips) and for k-NN on its own (nearest-pivot-first
+// dispatch finds a tight k-th distance in the first shard, so the bound
+// skips or narrows every later shard), while answers stay identical.
 TEST(ShardRouter, CostRoutingReadsFewerNodes) {
   const auto queries = Queries();
   const auto sharded = BuildSharded(8, shard::Assignment::kClustered);
@@ -201,22 +211,145 @@ TEST(ShardRouter, CostRoutingReadsFewerNodes) {
   naive_options.cost_routing = false;
   const Router naive(sharded, naive_options);
   const Router routed(sharded);
-  uint64_t naive_nodes = 0;
-  uint64_t routed_nodes = 0;
+  uint64_t naive_range = 0;
+  uint64_t routed_range = 0;
+  uint64_t naive_knn = 0;
+  uint64_t routed_knn = 0;
   for (const auto& q : queries) {
     QueryStats naive_stats;
     QueryStats routed_stats;
     ExpectSameResults(naive.RangeSearch(q, 0.3, &naive_stats),
                       routed.RangeSearch(q, 0.3, &routed_stats));
-    naive_nodes += naive_stats.nodes_accessed;
-    routed_nodes += routed_stats.nodes_accessed;
+    naive_range += naive_stats.nodes_accessed;
+    routed_range += routed_stats.nodes_accessed;
 
     ExpectSameResults(naive.KnnSearch(q, 5, &naive_stats),
                       routed.KnnSearch(q, 5, &routed_stats));
-    naive_nodes += naive_stats.nodes_accessed;
-    routed_nodes += routed_stats.nodes_accessed;
+    naive_knn += naive_stats.nodes_accessed;
+    routed_knn += routed_stats.nodes_accessed;
   }
-  EXPECT_LT(routed_nodes, naive_nodes);
+  EXPECT_LT(routed_range, naive_range) << "range";
+  EXPECT_LT(routed_knn, naive_knn) << "k-NN";
+}
+
+// Dispatch order is nearest-pivot-first for both plan kinds: sorted by
+// (annulus bound, d(Q, pivot), shard id), with the pivot distance each
+// decision records equal to the metric's own value.
+TEST(ShardRouter, PlanOrderIsNearestPivotFirst) {
+  const auto queries = Queries();
+  const L2Distance metric;
+  for (const size_t num_shards : {4u, 16u}) {
+    const auto sharded =
+        BuildSharded(num_shards, shard::Assignment::kClustered);
+    const Router router(sharded);
+    for (const auto& q : queries) {
+      for (const auto& plan :
+           {router.PlanRange(q, 0.3), router.PlanKnn(q, 5)}) {
+        ASSERT_EQ(plan.order.size() + plan.skipped, num_shards);
+        for (const auto& d : plan.decisions) {
+          if (sharded.tree(d.shard).size() == 0) continue;
+          EXPECT_EQ(d.pivot_distance,
+                    metric(q, sharded.sidecar(d.shard).pivot));
+        }
+        for (size_t i = 1; i < plan.order.size(); ++i) {
+          const auto& a = plan.decisions[plan.order[i - 1]];
+          const auto& b = plan.decisions[plan.order[i]];
+          EXPECT_LT(std::tie(a.lower_bound, a.pivot_distance, a.shard),
+                    std::tie(b.lower_bound, b.pivot_distance, b.shard))
+              << num_shards << " shards, position " << i;
+        }
+      }
+    }
+  }
+}
+
+// Requires PlanKnn's per-shard predictions for `k` to equal the direct
+// NnNodes / NnDistances calls at min(k, |s|), bit for bit.
+void ExpectKnnCostsMatchModels(const shard::ShardedMTree<VecTraits>& sharded,
+                               const Router& router, const FloatVector& query,
+                               size_t k) {
+  const auto plan = router.PlanKnn(query, k);
+  for (size_t s = 0; s < sharded.num_shards(); ++s) {
+    const auto& model = sharded.sidecar(s).model;
+    ASSERT_TRUE(model.has_value()) << "shard " << s;
+    const size_t shard_k = std::min(k, sharded.tree(s).size());
+    EXPECT_EQ(plan.decisions[s].predicted_nodes, model->NnNodes(shard_k))
+        << "shard " << s << ", k " << k;
+    EXPECT_EQ(plan.decisions[s].predicted_dists, model->NnDistances(shard_k))
+        << "shard " << s << ", k " << k;
+  }
+}
+
+// The per-k memo returns exactly what the shard models compute: for every
+// shard and k in {1, 5, 10, |s| + 3}, on one router, the first plan for a
+// k (cold) and repeat plans (warm, other queries) match the models.
+TEST(ShardRouter, MemoizedKnnCostsEqualModelCalls) {
+  const auto queries = Queries();
+  const auto sharded = BuildSharded(4, shard::Assignment::kClustered);
+  std::set<size_t> ks = {1, 5, 10};
+  for (size_t s = 0; s < sharded.num_shards(); ++s) {
+    ks.insert(sharded.tree(s).size() + 3);
+  }
+  const Router router(sharded);
+  for (const size_t k : ks) {
+    for (const size_t q : {0u, 1u, 2u}) {
+      ExpectKnnCostsMatchModels(sharded, router, queries[q], k);
+    }
+  }
+}
+
+// Answers k-NN query i with its own k, so one batch mixes several k.
+class MixedKRouter {
+ public:
+  using Object = FloatVector;
+
+  MixedKRouter(const Router& router, std::map<FloatVector, size_t> k_of)
+      : router_(router), k_of_(std::move(k_of)) {}
+
+  std::vector<SearchResult<FloatVector>> RangeSearch(
+      const FloatVector& query, double radius, QueryStats* stats) const {
+    return router_.RangeSearch(query, radius, stats);
+  }
+  std::vector<SearchResult<FloatVector>> KnnSearch(const FloatVector& query,
+                                                   size_t /*k*/,
+                                                   QueryStats* stats) const {
+    return router_.KnnSearch(query, k_of_.at(query), stats);
+  }
+  size_t size() const { return router_.size(); }
+
+ private:
+  const Router& router_;
+  std::map<FloatVector, size_t> k_of_;
+};
+
+// Eight workers start cold on one router with mixed k, so first queries
+// for a k race to fill the memo; every answer must match the sequential
+// answers of another router.
+TEST(ShardRouter, ConcurrentColdKnnMemoMatchesSequential) {
+  const auto queries = Queries();
+  const auto sharded = BuildSharded(4, shard::Assignment::kClustered);
+  const size_t ks[] = {1, 5, 10, 20};
+  std::map<FloatVector, size_t> k_of;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    k_of.emplace(queries[i], ks[i % 4]);
+  }
+  ASSERT_EQ(k_of.size(), queries.size());
+  const Router sequential(sharded);
+  const Router cold(sharded);
+  engine::ExecutorOptions options;
+  options.num_threads = 8;
+  const MixedKRouter mixed(cold, k_of);
+  const engine::BatchExecutor<MixedKRouter> executor(mixed, options);
+  const auto batch = executor.KnnSearchBatch(queries, 0);
+  ASSERT_EQ(batch.results.size(), queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ExpectSameResults(sequential.KnnSearch(queries[i], ks[i % 4]),
+                      batch.results[i]);
+  }
+  // The memo the racing workers filled holds the models' values.
+  for (const size_t k : ks) {
+    ExpectKnnCostsMatchModels(sharded, cold, queries[0], k);
+  }
 }
 
 // The router is a MetricIndex: batch execution over it is bit-identical
@@ -293,7 +426,8 @@ TEST(ShardedMTree, PersistenceRoundTrip) {
   const auto sharded = BuildSharded(4, shard::Assignment::kClustered);
   const Router router(sharded);
 
-  std::string path = ::testing::TempDir() + "/sharded_roundtrip";
+  const test::ScopedTempDir dir;
+  const std::string path = dir.File("sharded_roundtrip");
   SaveShardedMTree(sharded, path);
   shard::ShardedOptions open_options;
   open_options.tree = SmallNodes();
@@ -322,11 +456,6 @@ TEST(ShardedMTree, PersistenceRoundTrip) {
       EXPECT_EQ(before.order[i], after.order[i]);
     }
   }
-  for (size_t s = 0; s < sharded.num_shards(); ++s) {
-    std::remove((path + ".shard" + std::to_string(s)).c_str());
-    std::remove((path + ".shard" + std::to_string(s) + ".meta").c_str());
-  }
-  std::remove((path + ".shards").c_str());
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include "mcm/mtree/persist.h"
 #include "mcm/obs/trace.h"
 #include "mcm/vptree/vptree.h"
+#include "temp_dir.h"
 
 namespace mcm {
 namespace {
@@ -173,7 +174,8 @@ TEST(WitnessReuse, CapacityZeroLeavesNoWitnessFootprint) {
 }
 
 TEST(WitnessReuse, PersistRoundTripKeepsTheCascade) {
-  const std::string path = testing::TempDir() + "/witness_roundtrip.mtree";
+  const test::ScopedTempDir dir;
+  const std::string path = dir.File("witness_roundtrip.mtree");
   MTreeOptions options;
   options.node_size_bytes = 1024;
   options.witness_capacity = 8;
@@ -196,7 +198,8 @@ TEST(WitnessReuse, LegacyVersionOneFileLoadsWithoutCascade) {
   // its metadata to version 1 (no flags word) to reproduce a pre-cascade
   // file byte-for-byte. It must open, answer identically to the scan, and
   // report the cascade as not installed.
-  const std::string path = testing::TempDir() + "/witness_legacy.mtree";
+  const test::ScopedTempDir dir;
+  const std::string path = dir.File("witness_legacy.mtree");
   MTreeOptions options;
   options.node_size_bytes = 1024;
   {
@@ -241,7 +244,8 @@ TEST(WitnessReuse, TinyPagesFallBackSafelyWhenArraysWouldOverflow) {
   options.witness_capacity = 8;
   auto tree = MTree<Traits>::BulkLoad(Words(), EditDistanceMetric{}, options);
   tree.InstallWitnessCascade();
-  const std::string path = testing::TempDir() + "/witness_tiny.mtree";
+  const test::ScopedTempDir dir;
+  const std::string path = dir.File("witness_tiny.mtree");
   SaveMTree(tree, path);
   auto reopened = OpenMTree<Traits>(path, EditDistanceMetric{}, options);
   EXPECT_TRUE(check::CheckMTree(reopened).ok());

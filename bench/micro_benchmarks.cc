@@ -6,14 +6,15 @@
 //
 // The "fast lane" suite (BM_Scalar*/BM_Kernel*/BM_Bounded*/BM_*NodeCache*)
 // measures the query-path optimizations of DESIGN.md §9: dispatched SIMD
-// kernels vs the naive scalar loop, bounded early-exit evaluation, and the
-// decoded-node cache. MCM_BENCH_FILTER narrows the run (it becomes
-// --benchmark_filter), and with MCM_OBS=1 the main below writes the
-// measured ns/op plus kernel-vs-scalar speedups to
-// MCM_OBS_DIR/BENCH_micro_kernels.json.
+// kernels vs the naive scalar loop, the bit-parallel edit distance vs the
+// row DP, bounded early-exit evaluation, and the decoded-node cache.
+// MCM_BENCH_FILTER narrows the run (it becomes --benchmark_filter), and
+// with MCM_OBS=1 the main below writes the measured ns/op plus
+// kernel-vs-scalar speedups to MCM_OBS_DIR/BENCH_micro_kernels.json.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <map>
@@ -62,17 +63,6 @@ void BM_L2Distance(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_L2Distance)->Arg(5)->Arg(50);
-
-void BM_EditDistance(benchmark::State& state) {
-  const auto words = GenerateKeywords(64, kSeed);
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        EditDistance(words[i % 64], words[(i * 7 + 13) % 64]));
-    ++i;
-  }
-}
-BENCHMARK(BM_EditDistance);
 
 void BM_BoundedEditDistance(benchmark::State& state) {
   const auto words = GenerateKeywords(64, kSeed);
@@ -228,11 +218,12 @@ void BM_NmcmRangePrediction(benchmark::State& state) {
 BENCHMARK(BM_NmcmRangePrediction);
 
 // ---------------------------------------------------------------------------
-// Query-path fast lane: scalar baselines vs the dispatched kernels. The
-// scalar loops reproduce the pre-kernel metric implementation exactly (one
-// sequential pass, per-element float→double casts); they are the "before"
-// side of the speedup recorded in BENCH_micro_kernels.json. This file is
-// allowlisted by the `no-adhoc-vector-math` lint rule for that purpose.
+// Query-path fast lane: scalar baselines vs the kernels. The scalar loops
+// reproduce the pre-kernel metric implementations exactly (one sequential
+// pass with per-element float→double casts; the row-by-row edit-distance
+// DP); they are the "before" side of the speedup recorded in
+// BENCH_micro_kernels.json and gated by `bench_compare_kernels`. This file
+// is allowlisted by the `no-adhoc-vector-math` lint rule for that purpose.
 // ---------------------------------------------------------------------------
 
 double ScalarL2(const FloatVector& a, const FloatVector& b) {
@@ -340,6 +331,49 @@ void BM_KernelL1(benchmark::State& state) {
   state.SetLabel(kernels::BackendName(kernels::ActiveBackend()));
 }
 BENCHMARK(BM_KernelL1)->Arg(16)->Arg(64)->Arg(256);
+
+// Plain Levenshtein DP over one heap-allocated row: the pre-kernel
+// EditDistance, the "before" side of the edit-distance speedup.
+size_t ScalarEditDistance(const std::string& a, const std::string& b) {
+  const std::string& s = a.size() <= b.size() ? a : b;
+  const std::string& t = a.size() <= b.size() ? b : a;
+  std::vector<size_t> row(s.size() + 1);
+  for (size_t j = 0; j <= s.size(); ++j) row[j] = j;
+  for (size_t i = 1; i <= t.size(); ++i) {
+    size_t diag = row[0];
+    row[0] = i;
+    for (size_t j = 1; j <= s.size(); ++j) {
+      const size_t up = row[j];
+      row[j] = std::min({up + 1, row[j - 1] + 1,
+                         diag + (t[i - 1] == s[j - 1] ? 0 : 1)});
+      diag = up;
+    }
+  }
+  return row[s.size()];
+}
+
+// Keyword pairs (i, 7i + 13 mod 64) of the paper's text workload.
+void BM_ScalarEditDistance(benchmark::State& state) {
+  const auto words = GenerateKeywords(64, kSeed);
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        ScalarEditDistance(words[i % 64], words[(i * 7 + 13) % 64]));
+    ++i;
+  }
+}
+BENCHMARK(BM_ScalarEditDistance);
+
+void BM_KernelEditDistance(benchmark::State& state) {
+  const auto words = GenerateKeywords(64, kSeed);
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        EditDistance(words[i % 64], words[(i * 7 + 13) % 64]));
+    ++i;
+  }
+}
+BENCHMARK(BM_KernelEditDistance);
 
 // Bounded evaluation with a bound the distance usually exceeds: the win is
 // how early the partial sum crosses it (range(0) is the bound in 1/100ths

@@ -11,17 +11,20 @@ ns/op. This tool diffs those maps:
       empty comparison) is found. Improvements and new benchmarks are
       reported but never fail the comparison.
 
-  bench_compare.py --run BINARY --outdir DIR --baseline FILE \
-                   [--env K=V ...] [--tolerance X]
-      Run BINARY with MCM_OBS=1 / MCM_OBS_DIR=DIR (plus --env overrides),
-      then compare the artifact it wrote (same basename as FILE) against
-      the committed baseline. This is what the `bench_compare_kernels`
-      CTest runs against bench/results/BENCH_micro_kernels.json.
+The default tolerance is deliberately loose (5x): two artifacts from
+different machines differ by more than few-percent noise.
 
-The default tolerance is deliberately loose (5x): the committed baseline
-was produced on one machine and CI runs on another, so the check guards
-against order-of-magnitude regressions (an accidentally disabled SIMD
-backend, quadratic blowup), not few-percent noise.
+Speedup mode: the kernel suite's artifact also carries a second metric
+record with `speedup_<PAIR>` = ns(BM_Scalar<PAIR>) / ns(BM_Kernel<PAIR>),
+both measured in the same run, so machine speed and load cancel out:
+
+  bench_compare.py ARTIFACT --min-speedup NAME=X [--min-speedup ...] \
+                   [--run BINARY --outdir DIR [--env K=V ...]]
+      Fails unless every pair NAME names is present with a speedup >= X;
+      NAME is one pair (`L2/64`) or a whole family (`L2`). With --run, BINARY
+      runs first with MCM_OBS=1 / MCM_OBS_DIR=DIR and must write ARTIFACT
+      (a stale copy is removed beforehand). The `bench_compare_kernels`
+      CTest gates the micro_benchmarks kernel suite this way.
 
 Generic metric mode: any pair of schema-valid BENCH_*.json files can be
 compared on an explicit metric path with a hard ratio bound:
@@ -47,8 +50,9 @@ import subprocess
 import sys
 
 
-def load_timings(path):
-    """Returns the merged BM_* -> ns/op map of every metric record."""
+def load_metric_values(path, prefix="BM_"):
+    """Returns the merged name -> value map of every metric record, over
+    the names that start with `prefix` (BM_* maps to ns/op)."""
     timings = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -67,14 +71,15 @@ def load_timings(path):
             if not isinstance(data, dict):
                 continue
             for name, value in data.items():
-                if name.startswith("BM_") and isinstance(value, (int, float)):
+                if (name.startswith(prefix)
+                        and isinstance(value, (int, float))):
                     timings[name] = float(value)
     return timings
 
 
 def compare(baseline_path, current_path, tolerance):
-    baseline = load_timings(baseline_path)
-    current = load_timings(current_path)
+    baseline = load_metric_values(baseline_path)
+    current = load_metric_values(current_path)
     if baseline is None or current is None:
         return 1
     if not baseline:
@@ -205,16 +210,41 @@ def run_binary(binary, outdir, extra_env):
     return True
 
 
-def run_and_compare(binary, outdir, baseline, extra_env, tolerance):
-    artifact = os.path.join(outdir, os.path.basename(baseline))
-    if os.path.exists(artifact):
-        os.remove(artifact)
-    if not run_binary(binary, outdir, extra_env):
+def check_speedups(path, bars):
+    """bars: NAME=X strings; NAME is a pair (`L2/64`) or a family (`L2`,
+    every `L2/<arg>` pair). Fails when a NAME matches no pair or a matched
+    pair's speedup is below X."""
+    try:
+        ratios = load_metric_values(path, prefix="speedup_")
+    except OSError as exc:
+        print(f"{path}: {exc}", file=sys.stderr)
         return 1
-    if not os.path.exists(artifact):
-        print(f"{binary} did not write {artifact}", file=sys.stderr)
+    if ratios is None:
         return 1
-    return compare(baseline, artifact, tolerance)
+    speedups = {name[len("speedup_"):]: v for name, v in ratios.items()}
+    failures = []
+    checked = 0
+    print(f"{'pair':<20} {'speedup':>8} {'min':>6}")
+    for bar in bars:
+        name, _, value = bar.partition("=")
+        minimum = float(value)
+        pairs = sorted(p for p in speedups
+                       if p == name or p.startswith(name + "/"))
+        if not pairs:
+            failures.append(f"{name}: no speedup_{name}* in {path}")
+        for pair in pairs:
+            got = speedups[pair]
+            checked += 1
+            marker = "" if got >= minimum else "  FAIL"
+            if marker:
+                failures.append(f"{pair}: {got:.2f}x < {minimum}x")
+            print(f"{pair:<20} {got:>8.2f} {minimum:>6.2f}{marker}")
+    for failure in failures:
+        print(failure, file=sys.stderr)
+    if failures:
+        return 1
+    print(f"ok: {checked} kernel speedup(s) at or above their bars")
+    return 0
 
 
 def main():
@@ -224,7 +254,6 @@ def main():
                         help="BASELINE CURRENT (two-file mode)")
     parser.add_argument("--run", help="bench binary to execute first")
     parser.add_argument("--outdir", help="MCM_OBS_DIR for --run")
-    parser.add_argument("--baseline", help="committed artifact for --run")
     parser.add_argument("--env", action="append", default=[],
                         metavar="K=V", help="extra environment for --run")
     parser.add_argument("--tolerance", type=float, default=5.0,
@@ -235,7 +264,22 @@ def main():
                         help="metric path in CURRENT (default: --metric)")
     parser.add_argument("--max-ratio", type=float,
                         help="generic mode: max current/baseline ratio")
+    parser.add_argument("--min-speedup", action="append", default=[],
+                        metavar="NAME=X",
+                        help="speedup mode: required scalar/kernel ratio")
     args = parser.parse_args()
+
+    if args.min_speedup:
+        if len(args.files) != 1:
+            parser.error("speedup mode expects one ARTIFACT file")
+        if args.run:
+            if not args.outdir:
+                parser.error("--run requires --outdir")
+            if os.path.exists(args.files[0]):
+                os.remove(args.files[0])
+            if not run_binary(args.run, args.outdir, args.env):
+                return 1
+        return check_speedups(args.files[0], args.min_speedup)
 
     if args.metric or args.max_ratio is not None:
         if not args.metric or args.max_ratio is None:
@@ -251,12 +295,9 @@ def main():
                               args.current_metric or args.metric,
                               args.max_ratio)
     if args.run:
-        if not args.outdir or not args.baseline:
-            parser.error("--run requires --outdir and --baseline")
-        return run_and_compare(args.run, args.outdir, args.baseline,
-                               args.env, args.tolerance)
+        parser.error("--run needs --metric or --min-speedup")
     if len(args.files) != 2:
-        parser.error("expected BASELINE and CURRENT (or --run mode)")
+        parser.error("expected BASELINE and CURRENT")
     return compare(args.files[0], args.files[1], args.tolerance)
 
 

@@ -11,12 +11,15 @@ namespace mcm {
 
 /// Plain Levenshtein distance: minimal number of single-character
 /// insertions, deletions and substitutions transforming `a` into `b`.
-/// O(|a|*|b|) time, O(min(|a|,|b|)) space.
+/// When the shorter string has 1..64 bytes, a bit-parallel kernel (Myers
+/// 1999, Hyyrö's global form) takes O(|a| + |b|) word operations and no
+/// heap memory; longer strings run the O(|a|*|b|) row DP.
 size_t EditDistance(const std::string& a, const std::string& b);
 
-/// Levenshtein distance with early termination: returns any value
-/// > `bound` (specifically bound + 1) as soon as the true distance is known
-/// to exceed `bound`. Uses a banded DP of width 2*bound+1.
+/// Levenshtein distance against a bound: the exact distance when it is
+/// <= `bound`, bound + 1 otherwise. A length gap above `bound` answers
+/// first; then the bit-parallel kernel (shorter string of 1..64 bytes) or
+/// a banded DP of width 2*bound+1 that stops once a row exceeds `bound`.
 size_t BoundedEditDistance(const std::string& a, const std::string& b,
                            size_t bound);
 
@@ -27,7 +30,8 @@ struct EditDistanceMetric {
   }
 
   /// Bounded-evaluation protocol (bounded.h): exact distance when it is
-  /// <= bound, +infinity otherwise, via the banded DP.
+  /// <= bound, +infinity otherwise, via BoundedEditDistance at
+  /// k = min(floor(bound), longer length).
   double DistanceWithin(const std::string& a, const std::string& b,
                         double bound) const;
 };

@@ -309,5 +309,25 @@ TEST(CountInvariance, StringMTreeCountsAreBitIdentical) {
   }
 }
 
+TEST(CountInvariance, StringMTreeHugeRadiusReportsTrueDistances) {
+  // A radius of 2^64 or more once reached an undefined double -> size_t
+  // conversion in EditDistanceMetric::DistanceWithin, and every word came
+  // back at distance 1; the linear scan shares the metric, so only
+  // EditDistance itself is a trustworthy oracle here.
+  const std::vector<std::string> words = {"ciao", "cane", "casa", "gatto",
+                                          "sole", "mare", "luna", "pane"};
+  auto tree = MTree<StringTraits<EditDistanceMetric>>::BulkLoad(
+      words, EditDistanceMetric{}, MTreeOptions{});
+  for (const double radius : {1e20, 1e300}) {
+    const auto results = tree.RangeSearch("ciao", radius);
+    ASSERT_EQ(results.size(), words.size()) << radius;
+    for (const auto& r : results) {
+      EXPECT_EQ(r.distance,
+                static_cast<double>(EditDistance("ciao", r.object)))
+          << r.object << " radius " << radius;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace mcm

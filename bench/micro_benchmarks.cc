@@ -7,7 +7,8 @@
 // The "fast lane" suite (BM_Scalar*/BM_Kernel*/BM_Bounded*/BM_*NodeCache*)
 // measures the query-path optimizations of DESIGN.md §9: dispatched SIMD
 // kernels vs the naive scalar loop, the bit-parallel edit distance vs the
-// row DP, bounded early-exit evaluation, and the decoded-node cache.
+// row DP, paged node reads decoding into recycled nodes vs fresh ones,
+// bounded early-exit evaluation, and the decoded-node cache.
 // MCM_BENCH_FILTER narrows the run (it becomes --benchmark_filter), and
 // with MCM_OBS=1 the main below writes the measured ns/op plus
 // kernel-vs-scalar speedups to MCM_OBS_DIR/BENCH_micro_kernels.json.
@@ -18,6 +19,7 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,9 +31,11 @@
 #include "mcm/dataset/text_datasets.h"
 #include "mcm/dataset/vector_datasets.h"
 #include "mcm/distribution/estimator.h"
+#include "mcm/metric/bytes.h"
 #include "mcm/metric/kernels.h"
 #include "mcm/metric/traits.h"
 #include "mcm/mtree/bulk_load.h"
+#include "mcm/mtree/node_store.h"
 #include "mcm/obs/export.h"
 #include "mcm/obs/metrics.h"
 #include "mcm/obs/trace.h"
@@ -374,6 +378,87 @@ void BM_KernelEditDistance(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KernelEditDistance);
+
+// Node decode: the paged store's query read (PagedNodeStore::ReadShared,
+// which decodes into recycled nodes) against the fresh-node decode it
+// replaced. Both read the same 16-d leaf pages (24-40 entries, like a
+// bulk-loaded 4 KiB leaf) through a pool that always hits.
+using DecodeTraits = VectorTraits<L2Distance>;
+using DecodeNode = MTreeNode<DecodeTraits>;
+
+// The fresh-node decoder of a tag-1 leaf page: one heap vector per entry
+// object, then make_shared — the "before" side of the NodeDecode speedup.
+std::shared_ptr<const DecodeNode> ScalarDecodeLeaf(const uint8_t* data,
+                                                   size_t size) {
+  ByteReader r(data, size);
+  DecodeNode node;
+  node.is_leaf = (r.Get<uint8_t>() & 1) != 0;
+  const uint32_t count = r.Get<uint32_t>();
+  node.leaf_entries.reserve(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    LeafEntry<FloatVector> e;
+    const uint32_t dim = r.Get<uint32_t>();
+    FloatVector o(dim);
+    r.GetBytes(o.data(), sizeof(float) * dim);
+    e.object = std::move(o);
+    e.oid = r.Get<uint64_t>();
+    e.parent_distance = r.Get<double>();
+    node.leaf_entries.push_back(std::move(e));
+  }
+  return std::make_shared<const DecodeNode>(std::move(node));
+}
+
+struct DecodePages {
+  std::unique_ptr<PagedNodeStore<DecodeTraits>> store;
+  std::vector<NodeId> ids;
+};
+
+DecodePages MakeDecodePages() {
+  constexpr size_t kPages = 64;
+  const auto data = GenerateClustered(kPages * 40, 16, kSeed);
+  DecodePages pages;
+  pages.store = std::make_unique<PagedNodeStore<DecodeTraits>>(
+      std::make_unique<InMemoryPageFile>(4096), /*pool_frames=*/kPages,
+      /*cache_entries=*/0);
+  size_t next = 0;
+  for (size_t p = 0; p < kPages; ++p) {
+    DecodeNode leaf;
+    const size_t count = 24 + (p * 7) % 17;
+    for (size_t i = 0; i < count; ++i, ++next) {
+      leaf.leaf_entries.push_back({data[next], next, 0.5, {}});
+    }
+    pages.ids.push_back(pages.store->Allocate());
+    pages.store->Write(pages.ids.back(), leaf);
+  }
+  return pages;
+}
+
+void BM_ScalarNodeDecode(benchmark::State& state) {
+  const DecodePages pages = MakeDecodePages();
+  const size_t page_size = pages.store->file().page_size();
+  size_t i = 0;
+  for (auto _ : state) {
+    const PageGuard guard =
+        pages.store->pool().Fetch(pages.ids[i % pages.ids.size()]);
+    const auto node = ScalarDecodeLeaf(guard.data(), page_size);
+    benchmark::DoNotOptimize(node->leaf_entries.data());
+    ++i;
+  }
+}
+BENCHMARK(BM_ScalarNodeDecode);
+
+void BM_KernelNodeDecode(benchmark::State& state) {
+  const DecodePages pages = MakeDecodePages();
+  QueryStats st;
+  size_t i = 0;
+  for (auto _ : state) {
+    const auto node =
+        pages.store->ReadShared(pages.ids[i % pages.ids.size()], &st);
+    benchmark::DoNotOptimize(node->leaf_entries.data());
+    ++i;
+  }
+}
+BENCHMARK(BM_KernelNodeDecode);
 
 // Bounded evaluation with a bound the distance usually exceeds: the win is
 // how early the partial sum crosses it (range(0) is the bound in 1/100ths

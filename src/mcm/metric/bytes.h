@@ -59,16 +59,33 @@ class ByteReader {
     return value;
   }
 
+  /// Reads a uint32_t element count and checks that `count` elements of at
+  /// least `min_bytes` bytes each still fit in the buffer, so a corrupt
+  /// count throws std::out_of_range before anything is sized from it.
+  uint32_t GetCount(size_t min_bytes) {
+    const uint32_t count = Get<uint32_t>();
+    if (min_bytes > 0 && count > remaining() / min_bytes) {
+      throw std::out_of_range("ByteReader: read past end of buffer");
+    }
+    return count;
+  }
+
   std::string GetString() {
-    const uint32_t len = Get<uint32_t>();
-    Require(len);
-    std::string s(reinterpret_cast<const char*>(data_ + pos_), len);
-    pos_ += len;
+    std::string s;
+    GetString(&s);
     return s;
+  }
+
+  /// In-place GetString(): reuses `out`'s buffer.
+  void GetString(std::string* out) {
+    const uint32_t len = GetCount(1);
+    out->assign(reinterpret_cast<const char*>(data_ + pos_), len);
+    pos_ += len;
   }
 
   void GetBytes(void* out, size_t size) {
     Require(size);
+    if (size == 0) return;  // `out` may be null (an empty vector's data()).
     std::memcpy(out, data_ + pos_, size);
     pos_ += size;
   }
@@ -78,7 +95,7 @@ class ByteReader {
 
  private:
   void Require(size_t bytes) const {
-    if (pos_ + bytes > size_) {
+    if (bytes > size_ - pos_) {
       throw std::out_of_range("ByteReader: read past end of buffer");
     }
   }

@@ -68,10 +68,10 @@ struct PointSetTraits {
   }
 
   static Object Deserialize(ByteReader& r) {
-    const uint32_t count = r.Get<uint32_t>();
+    const uint32_t count = r.GetCount(sizeof(uint32_t));
     Object o(count);
     for (auto& p : o) {
-      const uint32_t dim = r.Get<uint32_t>();
+      const uint32_t dim = r.GetCount(sizeof(float));
       p.resize(dim);
       r.GetBytes(p.data(), sizeof(float) * dim);
     }

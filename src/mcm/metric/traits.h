@@ -1,7 +1,10 @@
 // Metric-space trait bundles: each Traits type names the object type, the
 // metric functor, and how objects serialize into storage pages. The M-tree
 // and vp-tree templates are parameterized by one of these bundles (or any
-// user-supplied type with the same shape).
+// user-supplied type with the same shape). A bundle may also define
+// `static void DeserializeInto(ByteReader&, Object*)`, an in-place decode
+// that reuses the object's buffers; bundles without it are decoded with
+// Deserialize plus a move-assign (mtree/node.h).
 
 #ifndef MCM_METRIC_TRAITS_H_
 #define MCM_METRIC_TRAITS_H_
@@ -33,10 +36,17 @@ struct VectorTraits {
   }
 
   static Object Deserialize(ByteReader& r) {
-    const uint32_t dim = r.Get<uint32_t>();
-    Object o(dim);
-    r.GetBytes(o.data(), sizeof(float) * dim);
+    Object o;
+    DeserializeInto(r, &o);
     return o;
+  }
+
+  /// In-place Deserialize: reuses `o`'s buffer (node decoding recycles
+  /// entry objects). The length is checked before `o` is resized.
+  static void DeserializeInto(ByteReader& r, Object* o) {
+    const uint32_t dim = r.GetCount(sizeof(float));
+    o->resize(dim);
+    r.GetBytes(o->data(), sizeof(float) * dim);
   }
 };
 
@@ -54,6 +64,8 @@ struct StringTraits {
   static void Serialize(const Object& o, ByteWriter& w) { w.PutString(o); }
 
   static Object Deserialize(ByteReader& r) { return r.GetString(); }
+
+  static void DeserializeInto(ByteReader& r, Object* o) { r.GetString(o); }
 };
 
 }  // namespace mcm

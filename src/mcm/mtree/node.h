@@ -163,43 +163,69 @@ struct MTreeNode {
 
   /// Parses a node from `data` (as produced by Serialize, either layout).
   static MTreeNode Deserialize(const uint8_t* data, size_t size) {
-    ByteReader r(data, size);
     MTreeNode node;
+    DeserializeInto(data, size, &node);
+    return node;
+  }
+
+  /// Deserialize() into an existing node, overwriting all of it: the entry
+  /// vectors, each entry's object (in place when Traits defines
+  /// DeserializeInto, else by move-assigning Traits::Deserialize) and its
+  /// ancestor array keep their buffers, so decoding into a recycled node
+  /// allocates only where the page needs more room than the node had.
+  /// Every count read from the page is checked against the bytes left
+  /// before anything is sized from it: a corrupt page throws
+  /// std::out_of_range without a large allocation.
+  static void DeserializeInto(const uint8_t* data, size_t size,
+                              MTreeNode* node) {
+    ByteReader r(data, size);
     const uint8_t tag = r.Get<uint8_t>();
-    node.is_leaf = (tag & 1) != 0;
+    node->is_leaf = (tag & 1) != 0;
     const bool versioned = (tag & 2) != 0;
-    const uint32_t count = r.Get<uint32_t>();
+    // Fixed bytes of one entry, besides its object.
+    const size_t entry_bytes =
+        (node->is_leaf ? sizeof(uint64_t) + sizeof(double)
+                       : 2 * sizeof(double) + sizeof(NodeId)) +
+        (versioned ? sizeof(uint32_t) : 0);
+    const uint32_t count = r.GetCount(entry_bytes);
     auto get_ancestors = [&](std::vector<double>* distances) {
-      if (!versioned) return;
-      const uint32_t n = r.Get<uint32_t>();
-      distances->reserve(n);
-      for (uint32_t i = 0; i < n; ++i) {
-        distances->push_back(r.Get<double>());
+      if (!versioned) {
+        distances->clear();
+        return;
       }
+      const uint32_t n = r.GetCount(sizeof(double));
+      distances->resize(n);
+      r.GetBytes(distances->data(), n * sizeof(double));
     };
-    if (node.is_leaf) {
-      node.leaf_entries.reserve(count);
-      for (uint32_t i = 0; i < count; ++i) {
-        LeafEntry<Object> e;
-        e.object = Traits::Deserialize(r);
+    if (node->is_leaf) {
+      node->routing_entries.clear();
+      node->leaf_entries.resize(count);
+      for (auto& e : node->leaf_entries) {
+        DeserializeObject(r, &e.object);
         e.oid = r.Get<uint64_t>();
         e.parent_distance = r.Get<double>();
         get_ancestors(&e.ancestor_distances);
-        node.leaf_entries.push_back(std::move(e));
       }
     } else {
-      node.routing_entries.reserve(count);
-      for (uint32_t i = 0; i < count; ++i) {
-        RoutingEntry<Object> e;
-        e.object = Traits::Deserialize(r);
+      node->leaf_entries.clear();
+      node->routing_entries.resize(count);
+      for (auto& e : node->routing_entries) {
+        DeserializeObject(r, &e.object);
         e.covering_radius = r.Get<double>();
         e.parent_distance = r.Get<double>();
         e.child = r.Get<NodeId>();
         get_ancestors(&e.ancestor_distances);
-        node.routing_entries.push_back(std::move(e));
       }
     }
-    return node;
+  }
+
+ private:
+  static void DeserializeObject(ByteReader& r, Object* object) {
+    if constexpr (requires { Traits::DeserializeInto(r, object); }) {
+      Traits::DeserializeInto(r, object);
+    } else {
+      *object = Traits::Deserialize(r);
+    }
   }
 };
 

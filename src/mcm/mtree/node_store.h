@@ -6,6 +6,12 @@
 // accesses identically — that count is the paper's I/O cost — and tests
 // assert the two backends produce byte-identical query answers and access
 // counts.
+//
+// A paged query read (ReadShared) is a pool fetch, which costs one pread
+// into a reused frame on a miss, plus a decode into a node recycled from
+// earlier reads (mtree/node_recycler.h): once the page fits the recycled
+// node's buffers, it allocates nothing. Read/ReadTracked, the write path's
+// by-value reads, decode into a fresh node.
 
 #ifndef MCM_MTREE_NODE_STORE_H_
 #define MCM_MTREE_NODE_STORE_H_
@@ -21,6 +27,7 @@
 #include "mcm/common/env.h"
 #include "mcm/common/query_stats.h"
 #include "mcm/mtree/node.h"
+#include "mcm/mtree/node_recycler.h"
 #include "mcm/obs/metrics.h"
 #include "mcm/obs/phase.h"
 #include "mcm/obs/trace.h"
@@ -209,9 +216,13 @@ class PagedNodeStore final : public NodeStore<Traits> {
 
   Node ReadTracked(NodeId id, QueryStats* st) override {
     this->CountAccess();
-    return DecodeTracked(id, st);
+    const PageGuard guard = FetchTracked(id, st);
+    ScopedSpan decode_span(st, QueryPhase::kDecode);
+    return Node::Deserialize(guard.data(), file_->page_size());
   }
 
+  /// The query path: decodes into a node recycled from earlier reads
+  /// (mtree/node_recycler.h), with or without the decoded-node cache.
   std::shared_ptr<const Node> ReadShared(NodeId id,
                                          QueryStats* st) override {
     this->CountAccess();
@@ -234,11 +245,11 @@ class PagedNodeStore final : public NodeStore<Traits> {
       // invalidates while we decode, Insert drops our (possibly stale)
       // object instead of publishing it.
       const uint64_t version = cache_.Version(id);
-      auto decoded = std::make_shared<const Node>(DecodeTracked(id, st));
+      auto decoded = DecodeShared(id, st);
       cache_.Insert(id, version, decoded);
       return decoded;
     }
-    return std::make_shared<const Node>(DecodeTracked(id, st));
+    return DecodeShared(id, st);
   }
 
   /// Pulls contiguous runs of the hinted nodes into the buffer pool with
@@ -302,9 +313,9 @@ class PagedNodeStore final : public NodeStore<Traits> {
     return readahead > 0 ? static_cast<size_t>(readahead) : 0;
   }
 
-  /// Pool fetch + per-query attribution + decode, without the logical
-  /// access count (the caller already counted).
-  Node DecodeTracked(NodeId id, QueryStats* st) {
+  /// Pool fetch + per-query attribution, without the logical access count
+  /// (the caller already counted).
+  PageGuard FetchTracked(NodeId id, QueryStats* st) {
     bool hit = false;
     PageGuard guard = [&] {
       ScopedSpan page_span(st, QueryPhase::kPageRead);
@@ -318,12 +329,19 @@ class PagedNodeStore final : public NodeStore<Traits> {
     if (st->trace != nullptr) {
       st->trace->RecordBufferFetch(id, hit);
     }
-    ScopedSpan decode_span(st, QueryPhase::kDecode);
-    return Node::Deserialize(guard.data(), file_->page_size());
+    return guard;
   }
+
+  /// FetchTracked + decode into a recycled node.
+  std::shared_ptr<const Node> DecodeShared(NodeId id, QueryStats* st) {
+    const PageGuard guard = FetchTracked(id, st);
+    ScopedSpan decode_span(st, QueryPhase::kDecode);
+    return recycler_->Decode(guard.data(), file_->page_size());
+  }
+
   // Write path only (construction and maintenance are single-writer; the
-  // concurrent batch executor goes through ReadTracked/Read exclusively),
-  // so the shared scratch buffer needs no lock.
+  // concurrent batch executor goes through ReadShared exclusively), so the
+  // shared scratch buffer needs no lock.
   void StoreInto(PageGuard& guard, const Node& node) {
     scratch_.clear();
     node.Serialize(&scratch_);
@@ -337,6 +355,8 @@ class PagedNodeStore final : public NodeStore<Traits> {
 
   std::unique_ptr<PageFile> file_;
   BufferPool pool_;
+  std::shared_ptr<NodeRecycler<Node>> recycler_ =
+      std::make_shared<NodeRecycler<Node>>();
   DecodedNodeCache<Node> cache_;
   size_t readahead_;  ///< Max pages per prefetch run; 0 = readahead off.
   std::vector<uint8_t> scratch_;

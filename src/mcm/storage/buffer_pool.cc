@@ -132,15 +132,9 @@ size_t BufferPool::Prefetch(PageId first, size_t count) {
       if (shard.frames.size() >= shard.capacity && shard.lru.empty()) {
         continue;  // Every frame pinned: readahead never throws, it skips.
       }
-      EvictOneIfFull(shard);
-      Frame& frame = shard.frames[id];
-      frame.data.assign(buf.data() + k * page_size,
-                        buf.data() + (k + 1) * page_size);
-      frame.pin_count = 0;
+      Frame& frame = InstallFrame(shard, id);  // Unpinned, LRU front.
+      std::memcpy(frame.data.data(), buf.data() + k * page_size, page_size);
       frame.prefetched = true;
-      shard.lru.push_front(id);
-      frame.lru_pos = shard.lru.begin();
-      frame.in_lru = true;
       ++shard.stats.prefetch_issued;
       ++issued;
     }
@@ -160,6 +154,7 @@ PageGuard BufferPool::NewPage() {
   ++shard.stats.fetches;
   Frame& frame =
       LoadFrame(shard, id, /*read_from_file=*/false, /*hit=*/nullptr);
+  std::memset(frame.data.data(), 0, frame.data.size());
   frame.dirty = true;
   return PageGuard(this, id, frame.data.data());
 }
@@ -178,39 +173,59 @@ BufferPool::Frame& BufferPool::LoadFrame(Shard& shard, PageId id,
         pending_obs_used_.fetch_add(1, std::memory_order_relaxed);
       }
     }
-    if (frame.in_lru) {
-      shard.lru.erase(frame.lru_pos);
-      frame.in_lru = false;
-    }
-    ++frame.pin_count;
+    Pin(shard, frame);
     return frame;
   }
   ++shard.stats.misses;
   if (hit != nullptr) *hit = false;
-  EvictOneIfFull(shard);
-  Frame& frame = shard.frames[id];
-  frame.data.assign(file_->page_size(), 0);
+  Frame& frame = InstallFrame(shard, id);
   if (read_from_file) {
-    file_->ReadPage(id, frame.data.data());
+    try {
+      file_->ReadPage(id, frame.data.data());
+    } catch (...) {
+      // Leave no frame claiming to hold a page that was never read.
+      shard.lru.erase(frame.lru_pos);
+      shard.frames.erase(id);
+      throw;
+    }
   }
-  frame.pin_count = 1;
+  Pin(shard, frame);
   return frame;
 }
 
-void BufferPool::EvictOneIfFull(Shard& shard) {
+BufferPool::Frame& BufferPool::InstallFrame(Shard& shard, PageId id) {
   if (shard.frames.size() < shard.capacity) {
-    return;
+    Frame& frame = shard.frames[id];
+    frame.data.resize(file_->page_size());
+    shard.lru.push_front(id);
+    frame.lru_pos = shard.lru.begin();
+    frame.in_lru = true;
+    return frame;
   }
   if (shard.lru.empty()) {
     throw std::runtime_error("BufferPool: all frames pinned, cannot evict");
   }
+  // Reuse the LRU victim's frame: write it back first (a failed write
+  // leaves the pool unchanged), then re-key its map and list nodes.
   const PageId victim = shard.lru.back();
-  shard.lru.pop_back();
   auto it = shard.frames.find(victim);
-  RetireFrame(shard, it->second);
   FlushFrame(shard, victim, it->second);
-  shard.frames.erase(it);
+  RetireFrame(shard, it->second);
   ++shard.stats.evictions;
+  auto node = shard.frames.extract(it);
+  node.key() = id;
+  Frame& frame = shard.frames.insert(std::move(node)).position->second;
+  *frame.lru_pos = id;
+  shard.lru.splice(shard.lru.begin(), shard.lru, frame.lru_pos);
+  return frame;
+}
+
+void BufferPool::Pin(Shard& shard, Frame& frame) {
+  if (frame.in_lru) {
+    shard.pinned.splice(shard.pinned.begin(), shard.lru, frame.lru_pos);
+    frame.in_lru = false;
+  }
+  ++frame.pin_count;
 }
 
 void BufferPool::RetireFrame(Shard& shard, Frame& frame) {
@@ -249,8 +264,7 @@ void BufferPool::Unpin(PageId id) {
   }
   Frame& frame = it->second;
   if (--frame.pin_count == 0) {
-    shard.lru.push_front(id);
-    frame.lru_pos = shard.lru.begin();
+    shard.lru.splice(shard.lru.begin(), shard.pinned, frame.lru_pos);
     frame.in_lru = true;
   }
 }
@@ -289,9 +303,7 @@ void BufferPool::EvictAll() {
       if (it->second.pin_count == 0) {
         RetireFrame(*shard, it->second);
         FlushFrame(*shard, it->first, it->second);
-        if (it->second.in_lru) {
-          shard->lru.erase(it->second.lru_pos);
-        }
+        shard->lru.erase(it->second.lru_pos);
         it = shard->frames.erase(it);
       } else {
         ++it;

@@ -10,6 +10,13 @@
 // shard per 64 frames, at most 8) so readers on different shards never
 // contend. stats() aggregates the per-shard counters into a snapshot
 // returned by value.
+//
+// A miss on a full shard reuses the LRU victim's frame: the victim is
+// written back if dirty, its map node and LRU list node are re-keyed to the
+// new page, and the page is read straight into its existing buffer. Pinning
+// and unpinning move a frame's list node between the LRU list and a list of
+// pinned frames. So once a shard is full, a fetch allocates nothing; only
+// NewPage zero-fills a frame.
 
 #ifndef MCM_STORAGE_BUFFER_POOL_H_
 #define MCM_STORAGE_BUFFER_POOL_H_
@@ -92,7 +99,8 @@ class BufferPool {
   /// once other threads share the pool).
   PageGuard Fetch(PageId id, bool* hit);
 
-  /// Allocates a fresh page and returns it pinned and zeroed.
+  /// Allocates a fresh page and returns it pinned and zeroed (its frame is
+  /// zero-filled even when it reuses an evicted page's buffer).
   PageGuard NewPage();
 
   /// Readahead: loads whatever pages of [first, first + count) are absent
@@ -134,7 +142,9 @@ class BufferPool {
     uint32_t pin_count = 0;
     bool dirty = false;
     bool prefetched = false;  // Loaded by Prefetch, not yet fetched.
-    std::list<PageId>::iterator lru_pos;  // Valid only when pin_count == 0.
+    /// This frame's node in Shard::lru (in_lru, exactly when pin_count is
+    /// 0) or else in Shard::pinned.
+    std::list<PageId>::iterator lru_pos;
     bool in_lru = false;
   };
 
@@ -145,6 +155,7 @@ class BufferPool {
     std::unordered_map<PageId, Frame> frames MCM_GUARDED_BY(mu);
     std::list<PageId> lru MCM_GUARDED_BY(mu);  // Front = most recent;
                                                // only unpinned pages.
+    std::list<PageId> pinned MCM_GUARDED_BY(mu);  // Pinned pages, any order.
     BufferPoolStats stats MCM_GUARDED_BY(mu);
   };
 
@@ -154,7 +165,8 @@ class BufferPool {
   void MarkDirty(PageId id);
   Frame& LoadFrame(Shard& shard, PageId id, bool read_from_file, bool* hit)
       MCM_REQUIRES(shard.mu);
-  void EvictOneIfFull(Shard& shard) MCM_REQUIRES(shard.mu);
+  Frame& InstallFrame(Shard& shard, PageId id) MCM_REQUIRES(shard.mu);
+  void Pin(Shard& shard, Frame& frame) MCM_REQUIRES(shard.mu);
   void FlushFrame(Shard& shard, PageId id, Frame& frame)
       MCM_REQUIRES(shard.mu);
   void RetireFrame(Shard& shard, Frame& frame) MCM_REQUIRES(shard.mu);

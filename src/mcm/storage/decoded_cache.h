@@ -1,7 +1,7 @@
 // A versioned cache of decoded (deserialized) node objects, layered above
 // the BufferPool: the pool caches page *bytes*, this caches the C++ object
 // those bytes decode to, so repeated traversals of a hot node stop paying
-// Node::Deserialize on every visit.
+// the page decode on every visit.
 //
 // Correctness contract:
 //

@@ -1,5 +1,10 @@
 #include "mcm/storage/page_file.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstring>
 #include <stdexcept>
 
@@ -106,69 +111,90 @@ void InMemoryPageFile::DoReadRun(PageId first, size_t count, uint8_t* out) {
               count * page_size_);
 }
 
+namespace {
+
+off_t PageOffset(PageId id, size_t page_size) {
+  return static_cast<off_t>(id) * static_cast<off_t>(page_size);
+}
+
+/// pread until `bytes` arrived: retries EINTR and short reads, and throws
+/// at end of file (a read past the pages the file really holds).
+void ReadFully(int fd, uint8_t* out, size_t bytes, off_t offset) {
+  while (bytes > 0) {
+    const ssize_t n = ::pread(fd, out, bytes, offset);
+    if (n > 0) {
+      out += n;
+      bytes -= static_cast<size_t>(n);
+      offset += n;
+    } else if (n == 0) {
+      throw std::runtime_error("StdioPageFile: read past end of file");
+    } else if (errno != EINTR) {
+      throw std::runtime_error("StdioPageFile: read failed");
+    }
+  }
+}
+
+/// pwrite until all `bytes` are written; retries EINTR and short writes.
+void WriteFully(int fd, const uint8_t* data, size_t bytes, off_t offset) {
+  while (bytes > 0) {
+    const ssize_t n = ::pwrite(fd, data, bytes, offset);
+    if (n > 0) {
+      data += n;
+      bytes -= static_cast<size_t>(n);
+      offset += n;
+    } else if (n == 0 || errno != EINTR) {
+      throw std::runtime_error("StdioPageFile: write failed");
+    }
+  }
+}
+
+}  // namespace
+
 StdioPageFile::StdioPageFile(const std::string& path, size_t page_size,
                              Mode mode)
     : PageFile(page_size) {
-  file_ = std::fopen(path.c_str(),
-                     mode == Mode::kCreate ? "wb+" : "rb+");
-  if (file_ == nullptr) {
+  const int flags = mode == Mode::kCreate ? O_RDWR | O_CREAT | O_TRUNC
+                                          : O_RDWR;
+  fd_ = ::open(path.c_str(), flags | O_CLOEXEC, 0666);
+  if (fd_ < 0) {
     throw std::runtime_error("StdioPageFile: cannot open " + path);
   }
   if (mode == Mode::kOpenExisting) {
-    if (std::fseek(file_, 0, SEEK_END) != 0) {
+    // No destructor runs for a half-built object: close before throwing.
+    struct stat st {};
+    if (::fstat(fd_, &st) != 0) {
+      ::close(fd_);
       throw std::runtime_error("StdioPageFile: cannot size " + path);
     }
-    const long bytes = std::ftell(file_);
-    if (bytes < 0 || static_cast<size_t>(bytes) % page_size != 0) {
+    const auto bytes = static_cast<size_t>(st.st_size);
+    if (bytes % page_size != 0) {
+      ::close(fd_);
       throw std::runtime_error(
           "StdioPageFile: file size is not a multiple of the page size");
     }
-    num_pages_ = static_cast<size_t>(bytes) / page_size;
+    num_pages_ = bytes / page_size;
   }
 }
 
-StdioPageFile::~StdioPageFile() {
-  if (file_ != nullptr) {
-    std::fclose(file_);
-  }
-}
+StdioPageFile::~StdioPageFile() { ::close(fd_); }
 
 void StdioPageFile::DoRead(PageId id, uint8_t* out) {
-  if (std::fseek(file_, static_cast<long>(static_cast<size_t>(id) *
-                                          page_size_),
-                 SEEK_SET) != 0 ||
-      std::fread(out, 1, page_size_, file_) != page_size_) {
-    throw std::runtime_error("StdioPageFile: read failed");
-  }
+  ReadFully(fd_, out, page_size_, PageOffset(id, page_size_));
 }
 
 void StdioPageFile::DoWrite(PageId id, const uint8_t* data) {
-  if (std::fseek(file_, static_cast<long>(static_cast<size_t>(id) *
-                                          page_size_),
-                 SEEK_SET) != 0 ||
-      std::fwrite(data, 1, page_size_, file_) != page_size_) {
-    throw std::runtime_error("StdioPageFile: write failed");
-  }
+  WriteFully(fd_, data, page_size_, PageOffset(id, page_size_));
 }
 
 void StdioPageFile::DoReadRun(PageId first, size_t count, uint8_t* out) {
-  // One seek, one sequential transfer — this is the physical win the
-  // bulk loader's contiguous child runs are laid out for.
-  if (std::fseek(file_, static_cast<long>(static_cast<size_t>(first) *
-                                          page_size_),
-                 SEEK_SET) != 0 ||
-      std::fread(out, 1, count * page_size_, file_) != count * page_size_) {
-    throw std::runtime_error("StdioPageFile: run read failed");
-  }
+  // One positional read for the whole run — the physical win the bulk
+  // loader's contiguous child runs are laid out for.
+  ReadFully(fd_, out, count * page_size_, PageOffset(first, page_size_));
 }
 
 void StdioPageFile::DoExtend(size_t new_num_pages) {
-  // Extend the file with a zero page at the end so reads of fresh pages
-  // succeed.
-  std::vector<uint8_t> zeros(page_size_, 0);
-  if (std::fseek(file_, static_cast<long>((new_num_pages - 1) * page_size_),
-                 SEEK_SET) != 0 ||
-      std::fwrite(zeros.data(), 1, page_size_, file_) != page_size_) {
+  // The file grows by zero bytes, so reads of fresh pages succeed.
+  if (::ftruncate(fd_, static_cast<off_t>(new_num_pages * page_size_)) != 0) {
     throw std::runtime_error("StdioPageFile: extend failed");
   }
 }

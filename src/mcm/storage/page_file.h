@@ -6,7 +6,6 @@
 #define MCM_STORAGE_PAGE_FILE_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -44,8 +43,10 @@ struct PageFileStats {
 /// Implementations must support random reads and writes of whole pages.
 /// Freed pages are recycled by subsequent allocations. All public
 /// operations are serialized on an internal mutex, so a PageFile can back
-/// a sharded BufferPool whose shards read through it concurrently (stdio
-/// files share one seek position; the lock is required, not optional).
+/// a sharded BufferPool whose shards read through it concurrently. The
+/// lock guards the counters, the free list and the page count, which a
+/// concurrent Allocate grows (StdioPageFile's positional reads share no
+/// seek position, but a read must still see a page count that covers it).
 class PageFile {
  public:
   explicit PageFile(size_t page_size);
@@ -70,8 +71,8 @@ class PageFile {
   /// Reads `count` consecutive pages starting at `first` into `out` (which
   /// must hold count * page_size() bytes) as ONE physical read operation:
   /// `stats().reads` grows by one while `stats().read_pages` grows by
-  /// `count`. Backends that can seek once (stdio, memory) service the whole
-  /// run sequentially. Same access policy as ReadPage().
+  /// `count`. The file and memory backends transfer the whole run at once
+  /// (one pread, one memcpy). Same access policy as ReadPage().
   void ReadRun(PageId first, size_t count, uint8_t* out) MCM_EXCLUDES(mu_);
 
   /// Writes page_size() bytes from `data` to page `id`. Same access policy
@@ -135,8 +136,14 @@ class InMemoryPageFile : public PageFile {
   std::vector<uint8_t> data_ MCM_GUARDED_BY(mu_);
 };
 
-/// Page store backed by a real file (stdio, buffered). Demonstrates that the
-/// index is genuinely disk-resident; used by the persistence layer.
+/// Page store backed by a real file, read and written with one positional
+/// syscall per transfer (pread/pwrite on a file descriptor; EINTR and short
+/// transfers are retried, end of file throws). Used by the persistence
+/// layer. The name predates the descriptor-based implementation, when the
+/// file went through stdio; it stays because the layer benchmark
+/// (perfbench/) constructs the class by this name and with this
+/// constructor, and that directory changes only together with the
+/// benchmark.
 class StdioPageFile : public PageFile {
  public:
   enum class Mode {
@@ -145,7 +152,10 @@ class StdioPageFile : public PageFile {
                     ///< is recovered from the file size.
   };
 
-  /// Opens `path` as a page file in the given mode.
+  /// Opens `path` as a page file in the given mode. Throws
+  /// std::runtime_error (closing the file again) when it cannot be opened
+  /// or, in kOpenExisting mode, when its size is not a whole number of
+  /// pages.
   StdioPageFile(const std::string& path, size_t page_size,
                 Mode mode = Mode::kCreate);
   ~StdioPageFile() override;
@@ -158,7 +168,7 @@ class StdioPageFile : public PageFile {
       MCM_REQUIRES(mu_) override;
 
  private:
-  std::FILE* file_ MCM_PT_GUARDED_BY(mu_);
+  int fd_ = -1;  ///< Open for the object's lifetime; I/O happens under mu_.
 };
 
 }  // namespace mcm

@@ -1,7 +1,10 @@
 #include "mcm/storage/buffer_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <list>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -136,6 +139,158 @@ TEST(BufferPool, RejectsBadConstruction) {
   InMemoryPageFile file(16);
   EXPECT_THROW(BufferPool(nullptr, 4), std::invalid_argument);
   EXPECT_THROW(BufferPool(&file, 0), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Frame reuse: a miss on a full shard reads into the LRU victim's buffer.
+// Counters and eviction order must be the classic LRU's.
+// ---------------------------------------------------------------------------
+
+/// In-memory page file that logs the ids of page writes, in order.
+class RecordingPageFile : public InMemoryPageFile {
+ public:
+  using InMemoryPageFile::InMemoryPageFile;
+  std::vector<PageId> writes;
+
+ protected:
+  void DoWrite(PageId id, const uint8_t* data) MCM_REQUIRES(mu_) override {
+    writes.push_back(id);
+    InMemoryPageFile::DoWrite(id, data);
+  }
+};
+
+/// Reference LRU: capacity frames, most recent at the front.
+struct LruModel {
+  size_t capacity;
+  std::list<PageId> lru;
+  std::set<PageId> dirty;
+  BufferPoolStats stats;
+  std::vector<PageId> evicted;
+  std::vector<PageId> flushed;
+
+  bool Fetch(PageId id, bool make_dirty) {
+    ++stats.fetches;
+    auto it = std::find(lru.begin(), lru.end(), id);
+    const bool hit = it != lru.end();
+    if (hit) {
+      ++stats.hits;
+      lru.erase(it);
+    } else {
+      ++stats.misses;
+      if (lru.size() == capacity) {
+        const PageId victim = lru.back();
+        lru.pop_back();
+        ++stats.evictions;
+        evicted.push_back(victim);
+        if (dirty.erase(victim) != 0) {
+          ++stats.flushes;
+          flushed.push_back(victim);
+        }
+      }
+    }
+    lru.push_front(id);
+    if (make_dirty) dirty.insert(id);
+    return hit;
+  }
+};
+
+TEST(BufferPool, TraceReplayMatchesClassicLru) {
+  constexpr size_t kPage = 32;
+  RecordingPageFile file(kPage);
+  for (int i = 0; i < 8; ++i) file.Allocate();
+  BufferPool pool(&file, 4);
+  ASSERT_EQ(pool.num_shards(), 1u);
+  LruModel model{4, {}, {}, {}, {}, {}};
+  uint32_t x = 12345;  // LCG: a fixed pseudo-random trace over 8 pages.
+  for (uint32_t i = 0; i < 64; ++i) {
+    x = (x * 1103515245u + 12345u) & 0x7fffffffu;
+    const PageId id = (x >> 16) % 8;
+    const bool make_dirty = i % 4 != 3;
+    bool hit = false;
+    {
+      PageGuard guard = pool.Fetch(id, &hit);
+      if (make_dirty) {
+        guard.data()[0] = static_cast<uint8_t>(i);
+        guard.MarkDirty();
+      }
+    }
+    EXPECT_EQ(hit, model.Fetch(id, make_dirty)) << "access " << i;
+  }
+  const BufferPoolStats got = pool.stats();
+  EXPECT_EQ(got.fetches, model.stats.fetches);
+  EXPECT_EQ(got.hits, model.stats.hits);
+  EXPECT_EQ(got.misses, model.stats.misses);
+  EXPECT_EQ(got.evictions, model.stats.evictions);
+  EXPECT_EQ(got.flushes, model.stats.flushes);
+  EXPECT_EQ(file.writes, model.flushed);  // Write-back order = eviction order.
+  // The counts the single-LRU pool has always produced for this trace.
+  EXPECT_EQ(got.hits, 32u);
+  EXPECT_EQ(got.misses, 32u);
+  EXPECT_EQ(got.evictions, 28u);
+  EXPECT_EQ(got.flushes, 26u);
+}
+
+TEST(BufferPool, DirtyVictimWrittenBackBeforeItsFrameIsReused) {
+  InMemoryPageFile file(32);
+  BufferPool pool(&file, 1);
+  const PageId a = file.Allocate();
+  const PageId b = file.Allocate();
+  {
+    PageGuard g = pool.Fetch(b);
+    std::memset(g.data(), 0xbb, 32);
+    g.MarkDirty();
+  }
+  pool.FlushAll();
+  {
+    PageGuard g = pool.Fetch(a);
+    std::memset(g.data(), 0xaa, 32);
+    g.MarkDirty();
+  }
+  {
+    PageGuard g = pool.Fetch(b);  // Reuses a's frame.
+    EXPECT_EQ(g.data()[0], 0xbb);
+    EXPECT_EQ(g.data()[31], 0xbb);
+  }
+  std::vector<uint8_t> buf(32, 0);
+  file.ReadPage(a, buf.data());
+  EXPECT_EQ(buf, std::vector<uint8_t>(32, 0xaa));
+}
+
+TEST(BufferPool, NewPageZeroesAReusedFrame) {
+  InMemoryPageFile file(32);
+  BufferPool pool(&file, 1);
+  const PageId a = file.Allocate();
+  {
+    PageGuard g = pool.Fetch(a);
+    std::memset(g.data(), 0x5a, 32);
+    g.MarkDirty();
+  }
+  PageGuard fresh = pool.NewPage();  // Evicts a and takes its buffer.
+  EXPECT_NE(fresh.id(), a);
+  for (size_t i = 0; i < 32; ++i) {
+    EXPECT_EQ(fresh.data()[i], 0u) << "byte " << i;
+  }
+  EXPECT_EQ(pool.stats().evictions, 1u);
+  EXPECT_EQ(pool.stats().flushes, 1u);
+}
+
+TEST(BufferPool, FailedReadLeavesNoFrameBehind) {
+  InMemoryPageFile file(32);
+  BufferPool pool(&file, 2);
+  const PageId a = file.Allocate();
+  { PageGuard g = pool.Fetch(a); }
+  EXPECT_THROW(pool.Fetch(7), std::out_of_range);
+  EXPECT_EQ(pool.num_buffered(), 1u);
+  // The failed page was not cached as a (zero) hit.
+  EXPECT_THROW(pool.Fetch(7), std::out_of_range);
+  // And a full pool whose victim frame took the failed read stays usable.
+  const PageId b = file.Allocate();
+  { PageGuard g = pool.Fetch(b); }
+  EXPECT_THROW(pool.Fetch(9), std::out_of_range);
+  EXPECT_EQ(pool.num_buffered(), 1u);
+  { PageGuard g = pool.Fetch(a); }
+  { PageGuard g = pool.Fetch(b); }
+  EXPECT_EQ(pool.num_buffered(), 2u);
 }
 
 TEST(BufferPool, DoubleUnpinDetected) {

@@ -9,6 +9,8 @@
 #include <atomic>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "mcm/baseline/linear_scan.h"
@@ -18,7 +20,9 @@
 #include "mcm/gnat/gnat.h"
 #include "mcm/metric/traits.h"
 #include "mcm/mtree/bulk_load.h"
+#include "mcm/mtree/persist.h"
 #include "mcm/vptree/vptree.h"
+#include "temp_dir.h"
 
 namespace mcm {
 namespace {
@@ -213,6 +217,46 @@ TEST_F(ExecutorDeterminismTest, PagedMTreeConcurrentReads) {
     totals += batch.per_query[i];
   }
   ExpectStatsEqual(batch.totals, totals, "paged totals");
+}
+
+TEST_F(ExecutorDeterminismTest, FileBackedMTreeConcurrentReads) {
+  // A saved and reopened tree behind a 16-frame pool: four threads share
+  // the file (positional reads), the pool's reused frames and the store's
+  // recycled nodes.
+  MTreeOptions options;
+  options.seed = 42;
+  options.pruning = PruningMode::kOptimized;
+  options.buffer_pool_frames = 16;
+  test::ScopedTempDir dir;
+  const std::string path = dir.File("tree.mtree");
+  SaveMTree(MTree<VecTraits>::BulkLoad(data_, LInfDistance{}, options), path);
+  const auto tree = OpenMTree<VecTraits>(path, LInfDistance{}, options);
+  ASSERT_GT(tree.store().NumNodes(), 16u);
+
+  engine::ExecutorOptions exec_options;
+  exec_options.num_threads = 4;
+  const engine::BatchExecutor<MTree<VecTraits>> executor(tree, exec_options);
+  const auto range_batch = executor.RangeSearchBatch(queries_, 0.1);
+  const auto knn_batch = executor.KnnSearchBatch(queries_, 5);
+  for (size_t i = 0; i < queries_.size(); ++i) {
+    QueryStats st;
+    const auto expected_range = tree.RangeSearch(queries_[i], 0.1, &st);
+    ExpectResultsEqual(range_batch.results[i], expected_range, "file range");
+    QueryStats kst;
+    const auto expected_knn = tree.KnnSearch(queries_[i], 5, &kst);
+    ExpectResultsEqual(knn_batch.results[i], expected_knn, "file knn");
+    for (const auto& [batch, seq] :
+         {std::pair{&range_batch.per_query[i], &st},
+          std::pair{&knn_batch.per_query[i], &kst}}) {
+      EXPECT_EQ(batch->nodes_accessed, seq->nodes_accessed) << "i=" << i;
+      EXPECT_EQ(batch->distance_computations, seq->distance_computations)
+          << "i=" << i;
+      EXPECT_EQ(batch->nodes_pruned, seq->nodes_pruned) << "i=" << i;
+      EXPECT_EQ(batch->buffer_hits + batch->buffer_misses,
+                batch->nodes_accessed)
+          << "i=" << i;
+    }
+  }
 }
 
 TEST_F(ExecutorDeterminismTest, TracesMergeDeterministically) {

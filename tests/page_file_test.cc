@@ -2,8 +2,12 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -101,6 +105,35 @@ TEST_P(PageFileTest, ManyPagesKeepIntegrity) {
   }
 }
 
+TEST_P(PageFileTest, ReadRunMatchesPageReads) {
+  constexpr size_t kPage = 64;
+  auto file = Make(kPage);
+  for (uint8_t i = 0; i < 8; ++i) {
+    const PageId id = file->Allocate();
+    std::vector<uint8_t> buf(kPage);
+    for (size_t b = 0; b < kPage; ++b) {
+      buf[b] = static_cast<uint8_t>(i * 31 + b);
+    }
+    file->WritePage(id, buf.data());
+  }
+  for (const auto& [first, count] :
+       std::vector<std::pair<PageId, size_t>>{{0, 8}, {2, 3}, {7, 1}}) {
+    std::vector<uint8_t> run(count * kPage, 0);
+    file->ReadRun(first, count, run.data());
+    std::vector<uint8_t> pages(count * kPage, 0);
+    for (size_t i = 0; i < count; ++i) {
+      file->ReadPage(first + static_cast<PageId>(i), pages.data() + i * kPage);
+    }
+    EXPECT_EQ(run, pages) << "run at " << first << " of " << count;
+  }
+  EXPECT_THROW(
+      {
+        std::vector<uint8_t> run(2 * kPage);
+        file->ReadRun(7, 2, run.data());
+      },
+      std::out_of_range);
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, PageFileTest,
                          ::testing::Values("memory", "stdio"),
                          [](const auto& info) { return info.param; });
@@ -112,6 +145,69 @@ TEST(PageFile, ZeroPageSizeRejected) {
 TEST(StdioPageFile, UnopenablePathThrows) {
   EXPECT_THROW(StdioPageFile("/nonexistent-dir/x/y.bin", 32),
                std::runtime_error);
+}
+
+TEST(StdioPageFile, ReopenRecoversPagesAndBytes) {
+  test::ScopedTempDir dir;
+  const std::string path = dir.File("pages.bin");
+  {
+    StdioPageFile file(path, 32);
+    for (uint8_t i = 0; i < 5; ++i) {
+      const PageId id = file.Allocate();
+      const std::vector<uint8_t> buf(32, static_cast<uint8_t>(i + 1));
+      file.WritePage(id, buf.data());
+    }
+  }
+  StdioPageFile file(path, 32, StdioPageFile::Mode::kOpenExisting);
+  ASSERT_EQ(file.num_pages(), 5u);
+  std::vector<uint8_t> buf(32, 0);
+  file.ReadPage(4, buf.data());
+  EXPECT_EQ(buf, std::vector<uint8_t>(32, 5));
+}
+
+TEST(StdioPageFile, ReadPastEndOfTruncatedFileThrows) {
+  test::ScopedTempDir dir;
+  const std::string path = dir.File("pages.bin");
+  StdioPageFile file(path, 64);
+  for (int i = 0; i < 4; ++i) {
+    file.Allocate();
+  }
+  // Another writer cuts the file to 2.5 pages behind the open page file.
+  std::filesystem::resize_file(path, 160);
+  std::vector<uint8_t> buf(4 * 64, 0);
+  EXPECT_NO_THROW(file.ReadPage(1, buf.data()));
+  EXPECT_THROW(file.ReadPage(2, buf.data()), std::runtime_error);
+  EXPECT_THROW(file.ReadPage(3, buf.data()), std::runtime_error);
+  EXPECT_THROW(file.ReadRun(0, 4, buf.data()), std::runtime_error);
+}
+
+size_t OpenDescriptors() {
+  size_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(StdioPageFile, RejectedFileLeavesNoOpenDescriptor) {
+  if (!std::filesystem::exists("/proc/self/fd")) {
+    GTEST_SKIP() << "no /proc/self/fd on this platform";
+  }
+  test::ScopedTempDir dir;
+  const std::string path = dir.File("odd.bin");
+  {
+    std::ofstream out(path, std::ios::binary);
+    const std::string bytes(4103, 'x');  // Not a whole number of pages.
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  const size_t before = OpenDescriptors();
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_THROW(
+        StdioPageFile(path, 4096, StdioPageFile::Mode::kOpenExisting),
+        std::runtime_error);
+  }
+  EXPECT_EQ(OpenDescriptors(), before);
 }
 
 }  // namespace

@@ -4,10 +4,13 @@
 // 25-bin histograms (25 was the paper's maximum observed edit distance).
 // Paper-reported shape: relative errors usually below 10%, rarely 15%.
 //
-// Scale knobs: MCM_QUERIES (default 1000),
-//              MCM_TEXT_SCALE_PCT (default 100 = full Table-1 sizes).
+// Scale knobs: MCM_QUERIES (default 1000), MCM_N (caps every vocabulary
+//              at min(Table-1 size, MCM_N); unset = full Table-1 sizes).
 
+#include <algorithm>
+#include <cstdint>
 #include <iostream>
+#include <limits>
 
 #include "mcm/bench_util/experiment.h"
 #include "mcm/common/env.h"
@@ -26,8 +29,8 @@ int main() {
   using Traits = StringTraits<EditDistanceMetric>;
   const size_t num_queries =
       static_cast<size_t>(GetEnvInt("MCM_QUERIES", 1000));
-  const size_t scale_pct =
-      static_cast<size_t>(GetEnvInt("MCM_TEXT_SCALE_PCT", 100));
+  const size_t max_n = static_cast<size_t>(
+      GetEnvInt("MCM_N", std::numeric_limits<int64_t>::max()));
   constexpr double kRadius = 3.0;
   constexpr double kDPlus = 25.0;
   constexpr uint64_t kSeed = 42;
@@ -44,7 +47,7 @@ int main() {
   BenchObserver observer("fig3_text_range");
   Stopwatch watch;
   for (const auto& spec : TextDatasets()) {
-    const size_t n = spec.vocabulary_size * scale_pct / 100;
+    const size_t n = std::min(spec.vocabulary_size, max_n);
     const auto words = GenerateKeywords(n, kSeed + spec.code.size());
     const auto queries =
         GenerateKeywordQueries(num_queries, kSeed + spec.code.size());

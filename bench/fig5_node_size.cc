@@ -7,8 +7,8 @@
 //       (c_CPU = 5 ms, c_IO = 10 + NS*1 ms), estimated and measured; the
 //       paper finds an optimal node size of 8 KB at n = 10^6.
 //
-// Scale knobs: MCM_FIG5_N (default 100000; set 1000000 for the paper's
-//              exact size), MCM_FIG5_QUERIES (default 200).
+// Scale knobs: MCM_N (default 100000; set 1000000 for the paper's exact
+//              size), MCM_QUERIES (default 200).
 
 #include <cmath>
 #include <iostream>
@@ -28,16 +28,16 @@
 int main() {
   using namespace mcm;
   using Traits = VectorTraits<LInfDistance>;
-  const size_t n = static_cast<size_t>(GetEnvInt("MCM_FIG5_N", 100000));
+  const size_t n = static_cast<size_t>(GetEnvInt("MCM_N", 100000));
   const size_t num_queries =
-      static_cast<size_t>(GetEnvInt("MCM_FIG5_QUERIES", 200));
+      static_cast<size_t>(GetEnvInt("MCM_QUERIES", 200));
   constexpr size_t kDim = 5;
   constexpr uint64_t kSeed = 42;
   const double rq = std::pow(0.01, 1.0 / static_cast<double>(kDim)) / 2.0;
 
   std::cout << "== Figure 5 / Sec. 4.1: node-size tuning, clustered D=5, n="
             << n << ", r_Q=" << TablePrinter::Num(rq, 3) << " ==\n"
-            << "(paper runs n=10^6; set MCM_FIG5_N=1000000 to match)\n\n";
+            << "(paper runs n=10^6; set MCM_N=1000000 to match)\n\n";
 
   const auto data = GenerateClustered(n, kDim, kSeed);
   const auto queries = GenerateVectorQueries(VectorDatasetKind::kClustered,

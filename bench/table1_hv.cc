@@ -5,9 +5,8 @@
 // around 0.93-0.97 — see DESIGN.md on the text substitution), plus the
 // closed-form HV of Example 1.
 //
-// Scale knobs: MCM_TABLE1_N (vector dataset size, default 10000),
-//              MCM_TABLE1_VIEWPOINTS (default 100),
-//              MCM_TABLE1_TARGETS (default 1000).
+// Scale knob: MCM_N (vector dataset size, default 10000). Each HV
+// estimate uses 100 viewpoints and 1000 targets.
 
 #include <cstdio>
 #include <iostream>
@@ -30,12 +29,10 @@ constexpr uint64_t kSeed = 42;
 
 int main() {
   using namespace mcm;
-  const size_t n = static_cast<size_t>(GetEnvInt("MCM_TABLE1_N", 10000));
+  const size_t n = static_cast<size_t>(GetEnvInt("MCM_N", 10000));
   HvOptions hv_options;
-  hv_options.num_viewpoints =
-      static_cast<size_t>(GetEnvInt("MCM_TABLE1_VIEWPOINTS", 100));
-  hv_options.num_targets =
-      static_cast<size_t>(GetEnvInt("MCM_TABLE1_TARGETS", 1000));
+  hv_options.num_viewpoints = 100;
+  hv_options.num_targets = 1000;
   hv_options.grid_points = 251;
   hv_options.seed = kSeed;
 

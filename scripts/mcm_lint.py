@@ -45,10 +45,10 @@ Rules (each registered as its own ctest, `lint_<rule>`):
                             baseline) may not call BoundedDistance or a
                             metric's DistanceWithin directly; prune-site
                             evaluations go through engine/witness.h
-                            (GuardedDistanceWithin, GuardedExactDistance,
-                            CountedDistanceWithin) so the witness cascade
-                            sees every computed distance and the avoided-
-                            evaluation accounting stays exact.
+                            (GuardedDistanceWithin, CountedDistanceWithin)
+                            so the witness cascade sees every computed
+                            distance and the avoided-evaluation accounting
+                            stays exact.
 
 A line containing `mcm-lint: allow(<rule>)` in a comment suppresses that
 rule for that line (use sparingly; prefer fixing the code).
@@ -468,8 +468,8 @@ def check_direct_prune_distance(sf):
     return _grep(
         sf, PRUNE_DISTANCE_RE,
         "direct bounded-distance call at a prune site; route it through "
-        "engine/witness.h (GuardedDistanceWithin, GuardedExactDistance or "
-        "CountedDistanceWithin) so witnesses are recorded and consulted")
+        "engine/witness.h (GuardedDistanceWithin or CountedDistanceWithin) "
+        "so witnesses are recorded and consulted")
 
 
 # --------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 //
 // Every benchmark harness reads its dataset size / query count through these
 // helpers so a user can scale an experiment up to the paper's exact
-// parameters (e.g. MCM_FIG5_N=1000000) or down for a quick smoke run,
+// parameters (e.g. MCM_N=1000000 for Figure 5) or down for a quick smoke run,
 // without recompiling.
 
 #ifndef MCM_COMMON_ENV_H_

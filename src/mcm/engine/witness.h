@@ -9,23 +9,25 @@
 // metric evaluations; the Symmetric M-tree shows the stored side (the
 // d(w, o) values) can live in the node entry layout. Here the witness set
 // is owned by the traversal driver (search_core.h threads a WitnessChain
-// through every FrontierEntry) and the indexes supply the stored side:
-// M-tree entries persist distances to ancestor routing objects, the
-// vp-tree propagates ancestor-vantage distances at build time, and the
-// GNAT's range tables are one witness source among several.
+// through every FrontierEntry) and the M-tree supplies the stored side:
+// its entries persist distances to ancestor routing objects. The vp-tree
+// and the GNAT keep no stored side: in these main-memory trees the bound
+// checks cost more wall time than the metric evaluations they save, so
+// they run the plain search through CountedDistanceWithin.
 //
 // Replacement policy: a traversal path accrues witnesses root-to-leaf and
 // bounds from near ancestors are the tightest (their stored distances
 // describe the smallest regions), so the chain keeps every link but
 // consults only the `capacity` most recent (deepest) ones. Capacity comes
-// from MCM_WITNESSES (default 8); capacity 0 disables every witness
-// consultation and reproduces the pre-witness traversal bit-identically.
+// from MTreeOptions::witness_capacity, else MCM_WITNESSES (default 8);
+// capacity 0 disables every witness consultation and reproduces the
+// pre-witness traversal bit-identically.
 //
-// The sole sanctioned prune-site entry point is GuardedDistanceWithin: it
+// The sanctioned prune-site entry points are GuardedDistanceWithin, which
 // consults the witness bounds first, charges either one avoided or one
 // computed evaluation to QueryStats, and only then runs the (bounded)
-// metric. The lint rule `no-direct-prune-distance` keeps index prune sites
-// on this path.
+// metric, and CountedDistanceWithin for sites without a stored side. The
+// lint rule `no-direct-prune-distance` keeps index prune sites on them.
 
 #ifndef MCM_ENGINE_WITNESS_H_
 #define MCM_ENGINE_WITNESS_H_
@@ -83,7 +85,7 @@ class WitnessChain {
 
   /// The chain with one more witness (reference `ref`, measured query
   /// distance `query_distance`) in front. `ref` is index-defined: the
-  /// M-tree uses the ancestor depth, the GNAT an ancestor slot index.
+  /// M-tree uses the ancestor depth.
   WitnessChain Extend(uint64_t ref, double query_distance) const {
     auto link = std::make_shared<Link>();
     link->ref = ref;
@@ -166,34 +168,11 @@ inline double GuardedDistanceWithin(const WitnessChain& chain, int capacity,
   return BoundedDistance(metric, a, b, bound);
 }
 
-/// Guarded evaluation for sites that need the *exact* distance when the
-/// witness bounds cannot rule the object out past `prune_bound` (GNAT
-/// split points: the computed distance feeds the range-table pruning loop
-/// and the children's dmin bounds, so the bounded early exit is off the
-/// table). Avoidance accounting matches GuardedDistanceWithin; the
-/// computed branch charges one evaluation and runs the metric unbounded.
-template <typename StoredFn, typename Metric, typename ObjectT>
-inline double GuardedExactDistance(const WitnessChain& chain, int capacity,
-                                   StoredFn&& stored, const Metric& metric,
-                                   const ObjectT& a, const ObjectT& b,
-                                   double prune_bound, QueryStats* st) {
-  if (capacity > 0 && !chain.Empty() &&
-      WitnessLowerBound(chain, capacity, stored) > prune_bound) {
-    ++st->distance_calcs_avoided_by_witness;
-    if constexpr (internal::WitnessAwareMetric<Metric>) {
-      metric.RecordAvoided();
-    }
-    return std::numeric_limits<double>::infinity();
-  }
-  ++st->distance_computations;
-  return metric(a, b);
-}
-
 /// Guarded evaluation for sites with no stored witness distances (linear
-/// scan, structures before their cascade is installed): one computed
-/// evaluation through the bounded protocol. Identical accounting to the
-/// historical inline sequence, but routed through the engine so prune
-/// sites stay lintable.
+/// scan, vp-tree and GNAT buckets, M-trees before their cascade is
+/// installed): one computed evaluation through the bounded protocol.
+/// Identical accounting to the historical inline sequence, but routed
+/// through the engine so prune sites stay lintable.
 template <typename Metric, typename ObjectT>
 inline double CountedDistanceWithin(const Metric& metric, const ObjectT& a,
                                     const ObjectT& b, double bound,

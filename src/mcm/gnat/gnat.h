@@ -35,15 +35,6 @@ struct GnatOptions {
   size_t leaf_capacity = 32;  ///< Objects per leaf bucket.
   size_t candidate_factor = 3;  ///< Sampled candidates = factor * arity.
   uint64_t seed = 42;
-
-  /// Witness-set capacity for search (engine/witness.h): how many
-  /// ancestor-split distances each evaluation may reuse on top of the
-  /// node's own range table. The stored side (per-subtree ancestor ranges,
-  /// per-object ancestor rows) is propagated from the distances the build
-  /// already computes during assignment — no extra metric evaluations — so
-  /// 0 reproduces the witness-free search bit-identically; -1 (default)
-  /// resolves from MCM_WITNESSES (default 8).
-  int witness_capacity = -1;
 };
 
 /// Structure statistics of a built GNAT.
@@ -62,10 +53,7 @@ class Gnat {
   using Result = SearchResult<Object>;
 
   Gnat(const std::vector<Object>& objects, Metric metric, GnatOptions options)
-      : metric_(std::move(metric)),
-        options_(options),
-        witness_capacity_(
-            engine::ResolveWitnessCapacity(options.witness_capacity)) {
+      : metric_(std::move(metric)), options_(options) {
     if (options_.arity < 2) {
       throw std::invalid_argument("Gnat: arity must be >= 2");
     }
@@ -80,8 +68,7 @@ class Gnat {
     }
     num_objects_ = items.size();
     if (!items.empty()) {
-      std::vector<std::vector<double>> rows(items.size());
-      root_ = Build(std::move(items), std::move(rows), rng);
+      root_ = Build(std::move(items), rng);
     }
   }
 
@@ -120,10 +107,6 @@ class Gnat {
 
   size_t size() const { return num_objects_; }
 
-  /// Resolved witness-set capacity (options.witness_capacity, with -1
-  /// resolved from MCM_WITNESSES at construction).
-  int witness_capacity() const { return witness_capacity_; }
-
   GnatStatsView CollectStats() const {
     GnatStatsView view;
     view.num_objects = num_objects_;
@@ -149,11 +132,6 @@ class Gnat {
   struct Node {
     bool is_leaf = true;
     std::vector<std::pair<Object, uint64_t>> bucket;  // Leaf payload.
-    // Witness cascade (leaf): per bucket object, its distances to the
-    // ancestor split points. Slot i of a row is the i-th ancestor split in
-    // root-to-parent, split-order traversal — every internal ancestor
-    // contributes its m splits as consecutive slots.
-    std::vector<std::vector<double>> bucket_ancestor_distances;
     // Internal payload.
     std::vector<Object> splits;
     std::vector<uint64_t> split_oids;
@@ -161,36 +139,14 @@ class Gnat {
     /// ranges[i * splits.size() + j]: d(p_i, ·) over subtree j (the split
     /// point p_j itself included).
     std::vector<Range> ranges;
-    // Witness cascade (internal): per split point, its distances to the
-    // ancestor slots (same layout as a leaf row).
-    std::vector<std::vector<double>> split_ancestor_distances;
-    // Witness cascade (all nodes): [lo, hi] of d(ancestor slot s, x) over
-    // every object of this subtree. Its length is this node's slot base:
-    // the ref of this node's own split i is ancestor_ranges.size() + i.
-    std::vector<Range> ancestor_ranges;
   };
 
-  /// `rows[i]` carries items[i]'s distances to every ancestor slot
-  /// (parallel to `items`); Build aggregates them into ancestor_ranges,
-  /// keeps them per object in leaves and per split point in internal
-  /// nodes, and extends each descending row with the m split distances the
-  /// assignment loop computes anyway — reused instead of discarded.
   std::unique_ptr<Node> Build(std::vector<std::pair<Object, uint64_t>> items,
-                              std::vector<std::vector<double>> rows,
                               RandomEngine& rng) {
     auto node = std::make_unique<Node>();
-    if (!rows.empty() && !rows.front().empty()) {
-      node->ancestor_ranges.assign(rows.front().size(), Range());
-      for (const auto& row : rows) {
-        for (size_t a = 0; a < row.size(); ++a) {
-          node->ancestor_ranges[a].Extend(row[a]);
-        }
-      }
-    }
     if (items.size() <= std::max(options_.leaf_capacity, options_.arity)) {
       node->is_leaf = true;
       node->bucket = std::move(items);
-      node->bucket_ancestor_distances = std::move(rows);
       return node;
     }
     node->is_leaf = false;
@@ -232,15 +188,11 @@ class Gnat {
     for (size_t c : chosen) {
       node->splits.push_back(items[c].first);
       node->split_oids.push_back(items[c].second);
-      // Split points stop descending here; their ancestor rows become the
-      // stored side of the witness bounds guarding their own evaluation.
-      node->split_ancestor_distances.push_back(std::move(rows[c]));
     }
 
     // Assign every non-split object to its nearest split point, extending
     // the range table as we go.
     std::vector<std::vector<std::pair<Object, uint64_t>>> parts(m);
-    std::vector<std::vector<std::vector<double>>> part_rows(m);
     node->ranges.assign(m * m, Range());
     std::vector<double> dists(m);
     for (size_t idx = 0; idx < items.size(); ++idx) {
@@ -257,9 +209,6 @@ class Gnat {
       for (size_t i = 0; i < m; ++i) {
         node->ranges[i * m + best].Extend(dists[i]);
       }
-      std::vector<double> row = std::move(rows[idx]);
-      row.insert(row.end(), dists.begin(), dists.end());
-      part_rows[best].push_back(std::move(row));
       parts[best].push_back(std::move(items[idx]));
     }
     // Each subtree's range also covers its own split point.
@@ -272,10 +221,8 @@ class Gnat {
 
     node->children.resize(m);
     for (size_t j = 0; j < m; ++j) {
-      node->children[j] = parts[j].empty()
-                              ? nullptr
-                              : Build(std::move(parts[j]),
-                                      std::move(part_rows[j]), rng);
+      node->children[j] =
+          parts[j].empty() ? nullptr : Build(std::move(parts[j]), rng);
     }
     return node;
   }
@@ -288,92 +235,43 @@ class Gnat {
   template <typename Collector>
   void Traverse(const Object& query, Collector& collector,
                 QueryStats* st) const {
-    const int wcap = witness_capacity_;
     engine::BestFirstSearch<const Node*>(
         root_.get(), /*root_trace_id=*/0, collector, st,
         [&](const engine::FrontierEntry<const Node*>& item, auto& frontier) {
           const Node& node = *item.handle;
           ++st->nodes_accessed;
           if (node.is_leaf) {
-            uint32_t scanned = 0;
-            uint32_t wavoided = 0;
-            for (size_t j = 0; j < node.bucket.size(); ++j) {
-              const auto& [obj, oid] = node.bucket[j];
-              const std::vector<double>& row =
-                  node.bucket_ancestor_distances[j];
-              auto stored = [&](uint64_t ref) {
-                return ref < row.size()
-                           ? engine::WitnessInterval::Point(row[ref])
-                           : engine::WitnessInterval::Unknown();
-              };
-              // Bucket objects feed only the collector, so both the
-              // witness-avoided +inf and the bounded early exit are safe.
-              const uint64_t avoided_before =
-                  st->distance_calcs_avoided_by_witness;
-              const double d = engine::GuardedDistanceWithin(
-                  item.witness, wcap, stored, metric_, query, obj,
-                  collector.Bound(), st);
-              if (st->distance_calcs_avoided_by_witness != avoided_before) {
-                ++wavoided;
-                continue;
-              }
-              ++scanned;
-              collector.Offer(oid, obj, d);
+            // Bucket objects feed only the collector, so the bounded early
+            // exit is safe.
+            for (const auto& [obj, oid] : node.bucket) {
+              collector.Offer(oid, obj,
+                              engine::CountedDistanceWithin(
+                                  metric_, query, obj, collector.Bound(), st));
             }
             if (st->trace != nullptr) {
-              st->trace->RecordVisit(0, item.level, scanned, 0, scanned,
-                                     wavoided);
+              const auto scanned = static_cast<uint32_t>(node.bucket.size());
+              st->trace->RecordVisit(0, item.level, scanned, 0, scanned);
             }
             return;
           }
           const size_t m = node.splits.size();
-          // This node's split i is ancestor slot `slot_base + i` of every
-          // descendant; each computed split distance joins the chain.
-          const uint64_t slot_base = node.ancestor_ranges.size();
-          engine::WitnessChain chain = item.witness;
           // Brin's pruning loop: compute split-point distances one at a
           // time; each computed distance may eliminate other subtrees (and
           // their split points) before we ever pay for them.
           std::vector<bool> alive(m, true);
           std::vector<bool> computed(m, false);
-          std::vector<bool> skipped(m, false);  // Witness-avoided splits.
           std::vector<double> split_distance(m, 0.0);
           uint32_t scanned = 0;
-          uint32_t wavoided = 0;
-          for (size_t step = 0; step < m; ++step) {
-            size_t i = m;
-            for (size_t c = 0; c < m; ++c) {
-              if (alive[c] && !computed[c] && !skipped[c]) {
-                i = c;
-                break;
-              }
-            }
-            if (i == m) break;
-            const std::vector<double>& row = node.split_ancestor_distances[i];
-            auto stored = [&](uint64_t ref) {
-              return ref < row.size()
-                         ? engine::WitnessInterval::Point(row[ref])
-                         : engine::WitnessInterval::Unknown();
-            };
-            // A computed split distance must stay exact — it drives the
-            // range-table pruning and the children's dmin bounds — so the
-            // guard can only avoid the evaluation, never truncate it.
-            const uint64_t avoided_before =
-                st->distance_calcs_avoided_by_witness;
-            const double d = engine::GuardedExactDistance(
-                item.witness, wcap, stored, metric_, query, node.splits[i],
-                collector.Bound(), st);
-            if (st->distance_calcs_avoided_by_witness != avoided_before) {
-              // Ancestor witnesses prove p_i itself is out of range;
-              // subtree i stays alive (only its split point is ruled out).
-              skipped[i] = true;
-              ++wavoided;
-              continue;
-            }
+          for (size_t i = 0; i < m; ++i) {
+            if (!alive[i]) continue;
+            // A split distance must stay exact — it drives the range-table
+            // pruning and the children's dmin bounds — so it skips the
+            // bounded early exit.
+            ++st->distance_computations;
+            const double d = metric_(query, node.splits[i]);
             computed[i] = true;
             ++scanned;
             split_distance[i] = d;
-            if (wcap > 0) chain = chain.Extend(slot_base + i, d);
             collector.Offer(node.split_oids[i], node.splits[i], d);
             const double bound = collector.Bound();
             for (size_t j = 0; j < m; ++j) {
@@ -393,10 +291,9 @@ class Gnat {
             }
           }
           if (st->trace != nullptr) {
-            st->trace->RecordVisit(
-                0, item.level, scanned,
-                static_cast<uint32_t>(m) - scanned - wavoided, scanned,
-                wavoided);
+            st->trace->RecordVisit(0, item.level, scanned,
+                                   static_cast<uint32_t>(m) - scanned,
+                                   scanned);
           }
           for (size_t j = 0; j < m; ++j) {
             if (!alive[j] || node.children[j] == nullptr) continue;
@@ -412,31 +309,9 @@ class Gnat {
                   {dmin, range.lo - split_distance[i],
                    split_distance[i] - range.hi});
             }
-            PruneReason reason = PruneReason::kRangeTable;
-            if (wcap > 0) {
-              // Ancestor witnesses constrain subtree j through its stored
-              // ancestor ranges — the cross-level reuse the node's own
-              // range table cannot provide. A witness-dominated cut is
-              // attributed to the cascade.
-              const Node* child = node.children[j].get();
-              const double witness_lb = engine::WitnessLowerBound(
-                  chain, wcap, [&](uint64_t ref) {
-                    if (ref < child->ancestor_ranges.size()) {
-                      const Range& r = child->ancestor_ranges[ref];
-                      if (r.lo <= r.hi) {
-                        return engine::WitnessInterval{r.lo, r.hi};
-                      }
-                    }
-                    return engine::WitnessInterval::Unknown();
-                  });
-              if (witness_lb > dmin) {
-                dmin = witness_lb;
-                reason = PruneReason::kWitness;
-              }
-            }
             frontier.PushOrPrune(dmin, item.level + 1, /*trace_id=*/0,
-                                 node.children[j].get(), reason,
-                                 wcap > 0 ? chain : engine::WitnessChain{});
+                                 node.children[j].get(),
+                                 PruneReason::kRangeTable);
           }
         });
   }
@@ -456,7 +331,6 @@ class Gnat {
 
   Metric metric_;
   GnatOptions options_;
-  int witness_capacity_ = 0;
   std::unique_ptr<Node> root_;
   size_t num_objects_ = 0;
 };

@@ -16,7 +16,6 @@
 #include <cmath>
 #include <limits>
 #include <memory>
-#include <numeric>
 #include <queue>
 #include <stdexcept>
 #include <vector>
@@ -48,14 +47,6 @@ struct VpTreeOptions {
   size_t selection_candidates = 8;  ///< Candidates for kBestSpread.
   size_t selection_sample = 32;     ///< Sample size for kBestSpread.
   uint64_t seed = 42;
-
-  /// Witness-set capacity for search (engine/witness.h): how many
-  /// ancestor-vantage distances each prune check may reuse. The stored
-  /// side (per-subtree ancestor ranges, per-bucket-object ancestor
-  /// distances) is propagated during construction without extra metric
-  /// evaluations, so 0 reproduces the witness-free search bit-identically;
-  /// -1 (default) resolves from MCM_WITNESSES (default 8).
-  int witness_capacity = -1;
 };
 
 /// Structure statistics of a built vp-tree.
@@ -76,10 +67,7 @@ class VpTree {
   /// Builds a vp-tree over `objects` (oid = position index).
   VpTree(const std::vector<Object>& objects, Metric metric,
          VpTreeOptions options)
-      : metric_(std::move(metric)),
-        options_(options),
-        witness_capacity_(
-            engine::ResolveWitnessCapacity(options.witness_capacity)) {
+      : metric_(std::move(metric)), options_(options) {
     if (options_.arity < 2) {
       throw std::invalid_argument("VpTree: arity must be >= 2");
     }
@@ -87,8 +75,6 @@ class VpTree {
       throw std::invalid_argument("VpTree: leaf capacity must be >= 1");
     }
     RandomEngine rng = MakeEngine(options_.seed, /*stream=*/13);
-    std::vector<uint64_t> ids(objects.size());
-    std::iota(ids.begin(), ids.end(), 0);
     std::vector<std::pair<Object, uint64_t>> items;
     items.reserve(objects.size());
     for (size_t i = 0; i < objects.size(); ++i) {
@@ -96,8 +82,7 @@ class VpTree {
     }
     num_objects_ = items.size();
     if (!items.empty()) {
-      std::vector<std::vector<double>> rows(items.size());
-      root_ = Build(std::move(items), std::move(rows), rng);
+      root_ = Build(std::move(items), rng);
     }
   }
 
@@ -135,10 +120,6 @@ class VpTree {
   size_t size() const { return num_objects_; }
   const VpTreeOptions& options() const { return options_; }
 
-  /// Resolved witness-set capacity (options.witness_capacity, with -1
-  /// resolved from MCM_WITNESSES at construction).
-  int witness_capacity() const { return witness_capacity_; }
-
   /// Structure statistics (node counts, height).
   VpTreeStatsView CollectStats() const {
     VpTreeStatsView view;
@@ -156,47 +137,19 @@ class VpTree {
     bool is_leaf = true;
     // Leaf payload.
     std::vector<std::pair<Object, uint64_t>> bucket;
-    // Witness cascade: per bucket object, its distances to the ancestor
-    // vantage points (index i = i-th vantage on the root path). Propagated
-    // from construction-time evaluations — no extra metric calls.
-    std::vector<std::vector<double>> bucket_ancestor_distances;
     // Internal payload.
     Object vantage;
     uint64_t vantage_oid = 0;
     std::vector<double> cutoffs;  ///< mu_1..mu_{m-1}, non-decreasing.
     std::vector<std::unique_ptr<Node>> children;
-    // Witness cascade: [lo, hi] of d(ancestor vantage i, x) over every
-    // object of this node's subtree (including its own vantage/bucket).
-    std::vector<std::pair<double, double>> ancestor_ranges;
   };
 
-  /// `rows[i]` carries items[i]'s distances to every ancestor vantage on
-  /// the path down (parallel to `items`); Build aggregates them into the
-  /// node's ancestor_ranges, stores them per object in leaves, and extends
-  /// them with this node's vantage distances — the same evaluations that
-  /// position the shells, reused instead of discarded.
   std::unique_ptr<Node> Build(std::vector<std::pair<Object, uint64_t>> items,
-                              std::vector<std::vector<double>> rows,
                               RandomEngine& rng) {
     auto node = std::make_unique<Node>();
-    if (!rows.empty() && !rows.front().empty()) {
-      const size_t depth = rows.front().size();
-      node->ancestor_ranges.assign(
-          depth, {std::numeric_limits<double>::infinity(),
-                  -std::numeric_limits<double>::infinity()});
-      for (const auto& row : rows) {
-        for (size_t a = 0; a < depth; ++a) {
-          node->ancestor_ranges[a].first =
-              std::min(node->ancestor_ranges[a].first, row[a]);
-          node->ancestor_ranges[a].second =
-              std::max(node->ancestor_ranges[a].second, row[a]);
-        }
-      }
-    }
     if (items.size() <= options_.leaf_capacity) {
       node->is_leaf = true;
       node->bucket = std::move(items);
-      node->bucket_ancestor_distances = std::move(rows);
       return node;
     }
     node->is_leaf = false;
@@ -204,7 +157,6 @@ class VpTree {
     node->vantage = items[vp].first;
     node->vantage_oid = items[vp].second;
     items.erase(items.begin() + static_cast<ptrdiff_t>(vp));
-    rows.erase(rows.begin() + static_cast<ptrdiff_t>(vp));
 
     std::vector<double> dist(items.size());
     std::vector<size_t> order(items.size());
@@ -224,14 +176,9 @@ class VpTree {
     for (size_t g = 0; g < m; ++g) {
       const size_t end = items.size() * (g + 1) / m;
       std::vector<std::pair<Object, uint64_t>> part;
-      std::vector<std::vector<double>> part_rows;
       part.reserve(end - begin);
-      part_rows.reserve(end - begin);
       for (size_t i = begin; i < end; ++i) {
         part.push_back(std::move(items[order[i]]));
-        std::vector<double> row = std::move(rows[order[i]]);
-        row.push_back(dist[order[i]]);
-        part_rows.push_back(std::move(row));
       }
       if (g + 1 < m) {
         // mu_g: midpoint between the last distance of this group and the
@@ -240,9 +187,7 @@ class VpTree {
         const double right = dist[order[end]];
         node->cutoffs.push_back(0.5 * (left + right));
       }
-      node->children[g] =
-          part.empty() ? nullptr
-                       : Build(std::move(part), std::move(part_rows), rng);
+      node->children[g] = part.empty() ? nullptr : Build(std::move(part), rng);
       begin = end;
     }
     return node;
@@ -286,43 +231,23 @@ class VpTree {
   template <typename Collector>
   void Traverse(const Object& query, Collector& collector,
                 QueryStats* st) const {
-    const int wcap = witness_capacity_;
     engine::BestFirstSearch<const Node*>(
         root_.get(), /*root_trace_id=*/0, collector, st,
         [&](const engine::FrontierEntry<const Node*>& item, auto& frontier) {
           const Node& node = *item.handle;
           ++st->nodes_accessed;
           if (node.is_leaf) {
-            uint32_t scanned = 0;
-            uint32_t wavoided = 0;
-            for (size_t j = 0; j < node.bucket.size(); ++j) {
-              const auto& [obj, oid] = node.bucket[j];
-              const std::vector<double>& row =
-                  node.bucket_ancestor_distances[j];
-              auto stored = [&](uint64_t ref) {
-                return ref < row.size()
-                           ? engine::WitnessInterval::Point(row[ref])
-                           : engine::WitnessInterval::Unknown();
-              };
-              // Bucket objects feed only the collector, so the early exit
-              // past the bound (and a witness-avoided +inf) is safe; the
-              // vantage distance below stays exact because it positions
-              // every child shell.
-              const uint64_t avoided_before =
-                  st->distance_calcs_avoided_by_witness;
-              const double d = engine::GuardedDistanceWithin(
-                  item.witness, wcap, stored, metric_, query, obj,
-                  collector.Bound(), st);
-              if (st->distance_calcs_avoided_by_witness != avoided_before) {
-                ++wavoided;
-                continue;
-              }
-              ++scanned;
-              collector.Offer(oid, obj, d);
+            // Bucket objects feed only the collector, so the early exit
+            // past the bound is safe; the vantage distance below stays
+            // exact because it positions every child shell.
+            for (const auto& [obj, oid] : node.bucket) {
+              collector.Offer(oid, obj,
+                              engine::CountedDistanceWithin(
+                                  metric_, query, obj, collector.Bound(), st));
             }
             if (st->trace != nullptr) {
-              st->trace->RecordVisit(0, item.level, scanned, 0, scanned,
-                                     wavoided);
+              const auto scanned = static_cast<uint32_t>(node.bucket.size());
+              st->trace->RecordVisit(0, item.level, scanned, 0, scanned);
             }
             return;
           }
@@ -332,44 +257,16 @@ class VpTree {
             st->trace->RecordVisit(0, item.level, 1, 0, 1);
           }
           collector.Offer(node.vantage_oid, node.vantage, d);
-          // This vantage becomes the deepest witness of every child; its
-          // ancestor index is the node's own ancestor count.
-          const uint64_t self_ref = node.ancestor_ranges.size();
-          const engine::WitnessChain child_witness =
-              wcap > 0 ? item.witness.Extend(self_ref, d)
-                       : engine::WitnessChain{};
           for (size_t i = 0; i < node.children.size(); ++i) {
             if (node.children[i] == nullptr) continue;
             const double lo = i == 0 ? 0.0 : node.cutoffs[i - 1];
             const double hi = i == node.children.size() - 1
                                   ? std::numeric_limits<double>::infinity()
                                   : node.cutoffs[i];
-            const double shell_dmin = std::max({lo - d, d - hi, 0.0});
-            double dmin = shell_dmin;
-            PruneReason reason = PruneReason::kShellBound;
-            if (wcap > 0) {
-              // Tighten dmin with the child subtree's stored ancestor
-              // ranges (the child's own range against this vantage is
-              // tighter than the quantile cutoffs). A witness-dominated
-              // cut is attributed to the witness cascade.
-              const Node* child = node.children[i].get();
-              const double witness_lb = engine::WitnessLowerBound(
-                  child_witness, wcap, [&](uint64_t ref) {
-                    if (ref < child->ancestor_ranges.size()) {
-                      return engine::WitnessInterval{
-                          child->ancestor_ranges[ref].first,
-                          child->ancestor_ranges[ref].second};
-                    }
-                    return engine::WitnessInterval::Unknown();
-                  });
-              if (witness_lb > dmin) {
-                dmin = witness_lb;
-                reason = PruneReason::kWitness;
-              }
-            }
-            frontier.PushOrPrune(dmin, item.level + 1, /*trace_id=*/0,
-                                 node.children[i].get(), reason,
-                                 child_witness);
+            frontier.PushOrPrune(std::max({lo - d, d - hi, 0.0}),
+                                 item.level + 1, /*trace_id=*/0,
+                                 node.children[i].get(),
+                                 PruneReason::kShellBound);
           }
         });
   }
@@ -389,7 +286,6 @@ class VpTree {
 
   Metric metric_;
   VpTreeOptions options_;
-  int witness_capacity_ = 0;
   std::unique_ptr<Node> root_;
   size_t num_objects_ = 0;
 };

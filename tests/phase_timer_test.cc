@@ -39,7 +39,7 @@ class ObsGuard {
 /// even on coarse clocks.
 void Spin() {
   volatile uint64_t sink = 0;
-  for (uint64_t i = 0; i < 10'000; ++i) sink += i;
+  for (uint64_t i = 0; i < 10'000; ++i) sink = sink + i;
 }
 
 MTree<Traits> BuildTree(size_t n = 400) {

@@ -196,9 +196,6 @@ TEST(QueryTraceVpTreeTest, ShellBoundPrunesAndStatsPopulated) {
   const auto data = GenerateClustered(500, 5, 42);
   VpTreeOptions options;
   options.seed = 42;
-  // Pin the witness cascade off: this test asserts the pure shell-bound
-  // attribution (witness-tightened pushes report PruneReason::kWitness).
-  options.witness_capacity = 0;
   const VpTree<Traits> tree(data, LInfDistance{}, options);
   QueryTrace trace;
   QueryStats stats;

@@ -44,7 +44,9 @@ TEST(HausdorffDistance, MetricAxiomsOnRandomShapes) {
       const double dij = metric(shapes[i], shapes[j]);
       EXPECT_GE(dij, 0.0);
       EXPECT_NEAR(dij, metric(shapes[j], shapes[i]), 1e-12);
-      if (i == j) EXPECT_DOUBLE_EQ(dij, 0.0);
+      if (i == j) {
+        EXPECT_DOUBLE_EQ(dij, 0.0);
+      }
       const size_t k = (i + j + 1) % shapes.size();
       EXPECT_LE(dij, metric(shapes[i], shapes[k]) +
                          metric(shapes[k], shapes[j]) + 1e-9);

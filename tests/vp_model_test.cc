@@ -107,8 +107,11 @@ TEST_P(VpModelValidation, PredictsMeasuredDistancesWithinBand) {
   const double rq = h.Quantile(0.005);
   const auto measured = MeasureRange(tree, queries, rq);
   const double predicted = model.RangeDistances(rq);
-  // Model-only prediction (no tree statistics at all): generous 45% band.
-  EXPECT_NEAR(predicted, measured.avg_dists, 0.45 * measured.avg_dists)
+  // Model-only prediction (no tree statistics at all) of the plain tree
+  // Section 5 describes: one vantage distance per node and the shell test
+  // of Eq. 19. The data are seeded, so the error is deterministic (about
+  // +3% at m=2 and m=4); a 10% band keeps the model honest.
+  EXPECT_NEAR(predicted, measured.avg_dists, 0.10 * measured.avg_dists)
       << "arity=" << arity;
 }
 

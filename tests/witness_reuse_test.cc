@@ -1,9 +1,10 @@
-// Witness-cascade integration tests: answers must be bit-identical with
-// the cascade on and off across every index family, capacity 0 must leave
-// no witness footprint at all (the pre-witness behavior), the M-tree must
-// save a measurable fraction of metric evaluations on a string workload,
-// and the persisted ancestor distances must survive save/open — including
-// legacy version-1 files written before the cascade existed.
+// Witness-cascade integration tests: M-tree answers must be bit-identical
+// with the cascade on and off and agree with every other index family,
+// capacity 0 and the cascade-free vp-tree and GNAT must leave no witness
+// footprint at all, the M-tree must save a measurable fraction of metric
+// evaluations on a string workload, and the persisted ancestor distances
+// must survive save/open — including legacy version-1 files written
+// before the cascade existed.
 
 #include <gtest/gtest.h>
 
@@ -91,40 +92,6 @@ TEST(WitnessReuse, MTreeSavesAtLeastFifteenPercentOnStrings) {
       << "w0 = " << off.distances << ", w8 = " << on.distances;
 }
 
-TEST(WitnessReuse, VpTreeAnswersIdenticalAndCheaperWithWitnesses) {
-  // Bucketed leaves (capacity > 1) exercise the per-object guarded path;
-  // with singleton leaves every witness cut is a whole-subtree prune and
-  // the avoided-evaluation counter legitimately stays 0.
-  VpTreeOptions w0;
-  w0.witness_capacity = 0;
-  w0.leaf_capacity = 8;
-  VpTreeOptions w8;
-  w8.witness_capacity = 8;
-  w8.leaf_capacity = 8;
-  const auto off =
-      RunWorkload(VpTree<Traits>(Words(), EditDistanceMetric{}, w0));
-  const auto on =
-      RunWorkload(VpTree<Traits>(Words(), EditDistanceMetric{}, w8));
-  EXPECT_EQ(off.answers, on.answers);
-  EXPECT_EQ(off.avoided, 0u);
-  EXPECT_GT(on.avoided, 0u);
-  EXPECT_LE(on.distances, off.distances);
-}
-
-TEST(WitnessReuse, GnatAnswersIdenticalAndCheaperWithWitnesses) {
-  GnatOptions w0;
-  w0.witness_capacity = 0;
-  GnatOptions w8;
-  w8.witness_capacity = 8;
-  const auto off =
-      RunWorkload(Gnat<Traits>(Words(), EditDistanceMetric{}, w0));
-  const auto on = RunWorkload(Gnat<Traits>(Words(), EditDistanceMetric{}, w8));
-  EXPECT_EQ(off.answers, on.answers);
-  EXPECT_EQ(off.avoided, 0u);
-  EXPECT_GT(on.avoided, 0u);
-  EXPECT_LE(on.distances, off.distances);
-}
-
 TEST(WitnessReuse, AllIndexesAgreeWithTheLinearScan) {
   const auto words = Words();  // LinearScan keeps a reference
   const LinearScan<Traits> scan(words, EditDistanceMetric{});
@@ -133,28 +100,23 @@ TEST(WitnessReuse, AllIndexesAgreeWithTheLinearScan) {
 
   EXPECT_EQ(RunWorkload(MakeMTree(8)).answers, expected.answers);
   VpTreeOptions vo;
-  vo.witness_capacity = 8;
   vo.leaf_capacity = 8;
   EXPECT_EQ(RunWorkload(VpTree<Traits>(Words(), EditDistanceMetric{}, vo))
                 .answers,
             expected.answers);
-  GnatOptions go;
-  go.witness_capacity = 8;
   EXPECT_EQ(
-      RunWorkload(Gnat<Traits>(Words(), EditDistanceMetric{}, go)).answers,
+      RunWorkload(Gnat<Traits>(Words(), EditDistanceMetric{}, GnatOptions{}))
+          .answers,
       expected.answers);
 }
 
 TEST(WitnessReuse, CapacityZeroLeavesNoWitnessFootprint) {
-  // With capacity 0 no prune may ever be attributed to a witness and the
-  // avoided counter must stay zero — the pre-witness execution, exactly.
+  // With capacity 0, and always in the vp-tree and the GNAT, no prune may
+  // ever be attributed to a witness and the avoided counter must stay
+  // zero — the pre-witness execution, exactly.
   const auto tree = MakeMTree(0);
-  VpTreeOptions vo;
-  vo.witness_capacity = 0;
-  const VpTree<Traits> vp(Words(), EditDistanceMetric{}, vo);
-  GnatOptions go;
-  go.witness_capacity = 0;
-  const Gnat<Traits> gnat(Words(), EditDistanceMetric{}, go);
+  const VpTree<Traits> vp(Words(), EditDistanceMetric{}, VpTreeOptions{});
+  const Gnat<Traits> gnat(Words(), EditDistanceMetric{}, GnatOptions{});
 
   const auto check = [](const auto& index) {
     for (const auto& q : Queries()) {

@@ -1,6 +1,6 @@
 // Unit tests for the engine's witness set (engine/witness.h): capacity
 // resolution, chain structure and sharing, triangle-inequality lower
-// bounds, and the three sanctioned prune-site entry points.
+// bounds, and the two sanctioned prune-site entry points.
 
 #include "mcm/engine/witness.h"
 
@@ -16,7 +16,6 @@ namespace {
 
 using engine::CountedDistanceWithin;
 using engine::GuardedDistanceWithin;
-using engine::GuardedExactDistance;
 using engine::ResolveWitnessCapacity;
 using engine::WitnessChain;
 using engine::WitnessInterval;
@@ -197,30 +196,6 @@ TEST(GuardedDistanceWithinTest, NotifiesWitnessAwareMetrics) {
   GuardedDistanceWithin(chain, 8, stored, metric, 1.0, 2.0, 10.0, &st);
   EXPECT_EQ(metric.avoided, 1);
   EXPECT_EQ(metric.calls, 0);
-}
-
-TEST(GuardedExactDistanceTest, ExactWhenNotAvoided) {
-  AbsMetric metric;
-  QueryStats st;
-  WitnessChain chain;  // empty: never avoids
-  const auto stored = [](uint64_t) { return WitnessInterval::Unknown(); };
-  const double d =
-      GuardedExactDistance(chain, 8, stored, metric, 1.0, 9.0, 2.0, &st);
-  EXPECT_DOUBLE_EQ(d, 8.0);  // exact even though it exceeds prune_bound
-  EXPECT_EQ(st.distance_computations, 1u);
-}
-
-TEST(GuardedExactDistanceTest, AvoidsPastThePruneBound) {
-  AbsMetric metric;
-  QueryStats st;
-  WitnessChain chain;
-  chain = chain.Extend(0, 50.0);
-  const auto stored = [](uint64_t) { return WitnessInterval::Point(1.0); };
-  const double d =
-      GuardedExactDistance(chain, 8, stored, metric, 1.0, 2.0, 10.0, &st);
-  EXPECT_TRUE(std::isinf(d));
-  EXPECT_EQ(metric.calls, 0);
-  EXPECT_EQ(st.distance_calcs_avoided_by_witness, 1u);
 }
 
 TEST(CountedDistanceWithinTest, ChargesExactlyOneComputation) {

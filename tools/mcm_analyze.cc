@@ -28,9 +28,9 @@
 //
 //   accounting  Index code (mtree/vptree/gnat/baseline) computes distances
 //               only through the engine's sanctioned entry points
-//               (GuardedDistanceWithin / GuardedExactDistance /
-//               CountedDistanceWithin, defined in engine/witness.h and
-//               nowhere else), never passes a null QueryStats to them, and
+//               (GuardedDistanceWithin / CountedDistanceWithin, defined in
+//               engine/witness.h and nowhere else), never passes a null
+//               QueryStats to them, and
 //               every direct metric evaluation in a stats-carrying
 //               function charges exactly one distance_computations tick.
 //
@@ -1115,7 +1115,6 @@ class ModelBuilder {
         }
       }
       if (t.text == "GuardedDistanceWithin" ||
-          t.text == "GuardedExactDistance" ||
           t.text == "CountedDistanceWithin") {
         if (i + 1 < toks.size() && toks[i + 1].text == "(") {
           size_t close = MatchParen(toks, i + 1);
@@ -1373,7 +1372,6 @@ std::vector<Violation> CheckAccounting(const Tree& tree) {
   // nowhere else — a shadow definition would silently fork the ledger.
   for (const auto& fn : model.functions) {
     if (fn.name == "GuardedDistanceWithin" ||
-        fn.name == "GuardedExactDistance" ||
         fn.name == "CountedDistanceWithin") {
       if (fn.file.find("engine/witness.h") == std::string::npos) {
         out.push_back({fn.file, fn.line, "accounting",
@@ -1395,9 +1393,9 @@ std::vector<Violation> CheckAccounting(const Tree& tree) {
                      "direct " + name + " call in index code (" +
                          fn.qualified +
                          "): prune-site evaluations must go through "
-                         "GuardedDistanceWithin / GuardedExactDistance / "
-                         "CountedDistanceWithin so every computed or "
-                         "avoided distance is charged exactly once"});
+                         "GuardedDistanceWithin / CountedDistanceWithin so "
+                         "every computed or avoided distance is charged "
+                         "exactly once"});
     }
 
     // (3) Sanctioned calls must charge a real QueryStats (never nullptr).

@@ -11,12 +11,14 @@
 // admission case runs the 8-thread grid point under a deliberately small
 // predicted-node budget to show queueing instead of buffer-pool thrash.
 //
-// The emitted BENCH_shard_scale.json backs four CTest gates:
+// The emitted BENCH_shard_scale.json backs five CTest gates:
 //   bench_json_schema_shard     — schema (incl. latency_us percentiles);
 //   bench_compare_shard         — routed_s16 must read <= 0.85x the nodes
 //                                 of naive_s16;
 //   bench_compare_shard_knn_s4  — routed k-NN p50 latency at 4 and 16
-//   bench_compare_shard_knn_s16   shards <= 2x the 1-shard p50 (same run).
+//   bench_compare_shard_knn_s16   shards <= 2x the 1-shard p50 (same run);
+//   bench_compare_shard_plan_s4 — routed_s4's mean plan phase < 5% of its
+//                                 mean range latency (same run).
 //
 // Scale knobs: MCM_N (default 20000), MCM_QUERIES (default 100),
 //              MCM_SHARDS (default "1,4,16"), MCM_SHARD_ASSIGN,

@@ -14,6 +14,7 @@
 
 #include "mcm/bench_util/experiment.h"
 #include "mcm/common/env.h"
+#include "mcm/common/random.h"
 #include "mcm/common/stopwatch.h"
 #include "mcm/common/table_printer.h"
 #include "mcm/cost/lmcm.h"
@@ -46,11 +47,15 @@ int main() {
 
   BenchObserver observer("fig3_text_range");
   Stopwatch watch;
-  for (const auto& spec : TextDatasets()) {
+  const auto& datasets = TextDatasets();
+  for (size_t index = 0; index < datasets.size(); ++index) {
+    const auto& spec = datasets[index];
     const size_t n = std::min(spec.vocabulary_size, max_n);
-    const auto words = GenerateKeywords(n, kSeed + spec.code.size());
+    // Each vocabulary and its queries get their own streams, so no two
+    // datasets share words or queries.
+    const auto words = GenerateKeywords(n, DeriveSeed(kSeed, 2 * index));
     const auto queries =
-        GenerateKeywordQueries(num_queries, kSeed + spec.code.size());
+        GenerateKeywordQueries(num_queries, DeriveSeed(kSeed, 2 * index + 1));
 
     MTreeOptions options;  // 4 KB nodes, paper defaults.
     auto tree =

@@ -60,7 +60,8 @@ double NnDistanceModel::IntegrateAgainstNnDensity(
     const std::function<double(double)>& g, size_t k) const {
   double total = 0.0;
   double p_lo = ProbNnWithin(grid_.front(), k);
-  for (size_t i = 0; i + 1 < grid_.size(); ++i) {
+  // Once P_{Q,k} reaches 1 every later mass is 0: stop there.
+  for (size_t i = 0; i + 1 < grid_.size() && p_lo < 1.0; ++i) {
     const double p_hi = ProbNnWithin(grid_[i + 1], k);
     const double mass = p_hi - p_lo;
     if (mass > 0.0) {

@@ -39,7 +39,8 @@ class NnDistanceModel {
 
   /// ∫ g(r) p_{Q,k}(r) dr, evaluated as Σ g(mid) · ΔP over a fine grid —
   /// using exact probability masses of P instead of the density (Eq. 10)
-  /// keeps the computation stable for n up to 10⁶.
+  /// keeps the computation stable for n up to 10⁶. The sum stops at the
+  /// first grid point where P_{Q,k} reaches exactly 1.
   double IntegrateAgainstNnDensity(const std::function<double(double)>& g,
                                    size_t k) const;
 

@@ -21,9 +21,10 @@
 // The k-NN prediction (Eqs. 9-14) depends on a shard's F̂_s, its node
 // statistics and k, never on the query object, so the router memoizes
 // each shard's NnNodes / NnDistances per requested k: the first query for
-// a k integrates once, every later one looks the values up. Range
-// predictions stay per-query (they depend on the radius). Predicted costs
-// feed admission control and EXPLAIN, not the dispatch order.
+// a k integrates once, every later one looks the values up. A range
+// prediction depends on the radius, so it is priced per query, by one
+// interpolation in the shard model's tabulated Eq. 6/7 curves. Predicted
+// costs feed admission control and EXPLAIN, not the dispatch order.
 //
 // ShardRouter satisfies the MetricIndex concept (const, concurrently
 // callable), so engine::BatchExecutor<ShardRouter<...>> parallelizes

@@ -1,6 +1,7 @@
 #include "mcm/cost/nn_distance.h"
 
 #include <cmath>
+#include <functional>
 
 #include <gtest/gtest.h>
 
@@ -138,6 +139,39 @@ TEST(NnDistanceModel, StableAtMillionObjects) {
   // first nonzero-F point (resolution limit), so only >= is guaranteed.
   const double e20 = model.ExpectedNnDistance(20);
   EXPECT_GE(e20, e - 1e-12);
+}
+
+// The integral summed over every grid cell, with no early exit.
+double FullGridIntegral(const NnDistanceModel& model,
+                        const std::function<double(double)>& g, size_t k) {
+  const auto& grid = model.grid();
+  double total = 0.0;
+  double p_lo = model.ProbNnWithin(grid.front(), k);
+  for (size_t i = 0; i + 1 < grid.size(); ++i) {
+    const double p_hi = model.ProbNnWithin(grid[i + 1], k);
+    const double mass = p_hi - p_lo;
+    if (mass > 0.0) total += g(0.5 * (grid[i] + grid[i + 1])) * mass;
+    p_lo = p_hi;
+  }
+  return total;
+}
+
+TEST(NnDistanceModel, EarlyExitMatchesFullGrid) {
+  const auto h = UniformishHistogram();
+  const size_t n = 300;
+  const NnDistanceModel model(h, n);
+  // P_{Q,1} reaches exactly 1 well inside the grid, so the exit is taken.
+  ASSERT_EQ(model.ProbNnWithin(model.grid()[model.grid().size() / 2], 1),
+            1.0);
+  const auto g = [](double r) { return 1.0 + 3.0 * r * r; };
+  for (size_t k : {size_t{1}, size_t{10}, n - 1, n, n + 1}) {
+    const double reference = FullGridIntegral(model, g, k);
+    EXPECT_NEAR(model.IntegrateAgainstNnDensity(g, k), reference,
+                1e-12 * std::abs(reference))
+        << "k=" << k;
+  }
+  // With k > n, P stays 0: no mass at all.
+  EXPECT_EQ(model.IntegrateAgainstNnDensity(g, n + 1), 0.0);
 }
 
 TEST(NnDistanceModel, ConstructionErrors) {

@@ -7,8 +7,9 @@
 // The "fast lane" suite (BM_Scalar*/BM_Kernel*/BM_Bounded*/BM_*NodeCache*)
 // measures the query-path optimizations of DESIGN.md §9: dispatched SIMD
 // kernels vs the naive scalar loop, the bit-parallel edit distance vs the
-// row DP, paged node reads decoding into recycled nodes vs fresh ones,
-// bounded early-exit evaluation, and the decoded-node cache.
+// row DP, a prepared per-query edit-distance evaluator vs one-shot calls,
+// paged node reads decoding into recycled nodes vs fresh ones, bounded
+// early-exit evaluation, and the decoded-node cache.
 // MCM_BENCH_FILTER narrows the run (it becomes --benchmark_filter), and
 // with MCM_OBS=1 the main below writes the measured ns/op plus
 // kernel-vs-scalar speedups to MCM_OBS_DIR/BENCH_micro_kernels.json.
@@ -378,6 +379,50 @@ void BM_KernelEditDistance(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KernelEditDistance);
+
+// One-shot against prepared edit distance over the same query x keyword
+// pairs. Each iteration takes the next of 16 queries against all 256
+// keywords, as a search takes its query against every object it reaches:
+// the one-shot side calls EditDistanceMetric::DistanceWithin(q, w, bound)
+// per pair, the prepared side builds q's evaluator once (metric/
+// prepared.h) and calls it per keyword. Arg = the bound, -1 = none
+// (operator()). ns/op is per query, i.e. per 256 distances.
+struct EditQueryWorkload {
+  std::vector<std::string> words = GenerateKeywords(256, kSeed);
+  std::vector<std::string> queries = GenerateKeywordQueries(16, kSeed + 1);
+};
+
+void BM_ScalarEditQuery(benchmark::State& state) {
+  const EditQueryWorkload w;
+  const EditDistanceMetric metric;
+  const bool bounded = state.range(0) >= 0;
+  const auto bound = static_cast<double>(state.range(0));
+  size_t i = 0;
+  for (auto _ : state) {
+    const std::string& q = w.queries[i++ % w.queries.size()];
+    for (const std::string& word : w.words) {
+      benchmark::DoNotOptimize(bounded ? metric.DistanceWithin(q, word, bound)
+                                       : metric(q, word));
+    }
+  }
+}
+BENCHMARK(BM_ScalarEditQuery)->Arg(3)->Arg(-1);
+
+void BM_KernelEditQuery(benchmark::State& state) {
+  const EditQueryWorkload w;
+  const EditDistanceMetric metric;
+  const bool bounded = state.range(0) >= 0;
+  const auto bound = static_cast<double>(state.range(0));
+  size_t i = 0;
+  for (auto _ : state) {
+    const auto eval = metric.Prepare(w.queries[i++ % w.queries.size()]);
+    for (const std::string& word : w.words) {
+      benchmark::DoNotOptimize(bounded ? eval.DistanceWithin(word, bound)
+                                       : eval(word));
+    }
+  }
+}
+BENCHMARK(BM_KernelEditQuery)->Arg(3)->Arg(-1);
 
 // Node decode: the paged store's query read (PagedNodeStore::ReadShared,
 // which decodes into recycled nodes) against the fresh-node decode it

@@ -42,11 +42,14 @@ Rules (each registered as its own ctest, `lint_<rule>`):
                             the dispatched SIMD kernels and fork the
                             accumulation order.
   no-direct-prune-distance  Index traversal code (mtree/vptree/gnat/
-                            baseline) may not call BoundedDistance or a
-                            metric's DistanceWithin directly; prune-site
-                            evaluations go through engine/witness.h
-                            (GuardedDistanceWithin, CountedDistanceWithin)
-                            so the witness cascade sees every computed
+                            baseline) may not call BoundedDistance, a
+                            metric's DistanceWithin or a query evaluator's
+                            (metric/prepared.h) DistanceWithin directly;
+                            prune-site evaluations go through
+                            engine/witness.h (GuardedDistanceWithin(chain,
+                            capacity, stored, eval, x, bound, st),
+                            CountedDistanceWithin(eval, x, bound, st)) so
+                            the witness cascade sees every computed
                             distance and the avoided-evaluation accounting
                             stays exact.
 
@@ -458,9 +461,12 @@ def check_adhoc_vector_math(sf):
 
 # A bounded evaluation at a prune site that does not flow through
 # engine/witness.h never records a witness and never consults the cascade,
-# silently forking the distance accounting. The lookbehind keeps the
-# sanctioned wrappers (GuardedDistanceWithin, CountedDistanceWithin) from
-# matching on their common suffix.
+# silently forking the distance accounting. That holds for a metric's
+# DistanceWithin(a, b, bound) and a query evaluator's DistanceWithin(x,
+# bound) alike: both match below. The lookbehind keeps the sanctioned
+# wrappers (GuardedDistanceWithin, CountedDistanceWithin) from matching on
+# their common suffix. Whether exact evaluator calls (eval(x)) are charged
+# is mcm_analyze's `accounting` rule, which sees whole functions.
 PRUNE_DISTANCE_RE = re.compile(r"(?<!\w)(DistanceWithin|BoundedDistance)\s*\(")
 
 
@@ -468,8 +474,10 @@ def check_direct_prune_distance(sf):
     return _grep(
         sf, PRUNE_DISTANCE_RE,
         "direct bounded-distance call at a prune site; route it through "
-        "engine/witness.h (GuardedDistanceWithin or CountedDistanceWithin) "
-        "so witnesses are recorded and consulted")
+        "engine/witness.h (GuardedDistanceWithin(chain, capacity, stored, "
+        "eval, x, bound, st) or CountedDistanceWithin(eval, x, bound, st), "
+        "eval = PrepareQuery(metric, query)) so witnesses are recorded and "
+        "consulted")
 
 
 # --------------------------------------------------------------------------
@@ -691,6 +699,10 @@ SELFTEST_CASES = {
          "double d = BoundedDistance(metric_, a, b, bound);\n"),
         ("src/mcm/gnat/sample.cc",
          "if (DistanceWithin(q, o, limit) <= limit) {}\n"),
+        ("src/mcm/baseline/sample.cc",
+         "const double d = eval.DistanceWithin(x, bound);\n"),
+        ("src/mcm/mtree/sample2.cc",
+         "if (evals[p].DistanceWithin(x, r) <= r) {}\n"),
     ],
     "no-adhoc-vector-math": [
         ("src/mcm/cost/sample.cc",

@@ -65,14 +65,14 @@ class LinearScan {
  private:
   template <typename Collector>
   void Scan(const Object& query, Collector& collector, QueryStats* st) const {
+    const auto eval = PrepareQuery(metric_, query);
     for (size_t i = 0; i < objects_.size(); ++i) {
       // Early exit past the collector bound via the engine's counted entry
       // point (engine/witness.h); a scan stores no witness distances, so
       // the cost stays exactly the n computations the access-path model
       // assumes.
       collector.Offer(static_cast<uint64_t>(i), objects_[i],
-                      engine::CountedDistanceWithin(metric_, query,
-                                                    objects_[i],
+                      engine::CountedDistanceWithin(eval, objects_[i],
                                                     collector.Bound(), st));
     }
   }

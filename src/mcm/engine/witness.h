@@ -26,8 +26,11 @@
 // The sanctioned prune-site entry points are GuardedDistanceWithin, which
 // consults the witness bounds first, charges either one avoided or one
 // computed evaluation to QueryStats, and only then runs the (bounded)
-// metric, and CountedDistanceWithin for sites without a stored side. The
-// lint rule `no-direct-prune-distance` keeps index prune sites on them.
+// evaluation, and CountedDistanceWithin for sites without a stored side.
+// Both take the query's evaluator (metric/prepared.h, via PrepareQuery,
+// built once per search) in place of (metric, query). The lint rule
+// `no-direct-prune-distance` and mcm_analyze's `accounting` rule keep
+// index prune sites on them.
 
 #ifndef MCM_ENGINE_WITNESS_H_
 #define MCM_ENGINE_WITNESS_H_
@@ -40,7 +43,7 @@
 
 #include "mcm/common/env.h"
 #include "mcm/common/query_stats.h"
-#include "mcm/metric/bounded.h"
+#include "mcm/metric/prepared.h"
 
 namespace mcm {
 namespace engine {
@@ -136,49 +139,51 @@ inline double WitnessLowerBound(const WitnessChain& chain, int capacity,
 
 namespace internal {
 
-/// Metrics (CountedMetric) that keep their own avoided-evaluation ledger.
-template <typename M>
-concept WitnessAwareMetric = requires(const M& m) {
-  m.RecordAvoided();
+/// Evaluators (CountedMetric's, or a forwarding one over a metric with a
+/// ledger) that keep their own avoided-evaluation ledger.
+template <typename E>
+concept WitnessAwareEvaluator = requires(const E& e) {
+  e.RecordAvoided();
 };
 
 }  // namespace internal
 
-/// The engine's guarded prune-site evaluation. Consults the witness bounds
-/// first: when they prove d(a, b) > bound, charges one avoided evaluation
-/// (QueryStats::distance_calcs_avoided_by_witness plus the metric's own
-/// ledger when it keeps one) and returns +infinity without touching the
-/// metric. Otherwise charges one computed evaluation and runs the bounded
+/// The engine's guarded prune-site evaluation of d(Q, x), where `eval` is
+/// Q's evaluator (PrepareQuery). Consults the witness bounds first: when
+/// they prove d(Q, x) > bound, charges one avoided evaluation
+/// (QueryStats::distance_calcs_avoided_by_witness plus the evaluator's own
+/// ledger when it keeps one) and returns +infinity without evaluating.
+/// Otherwise charges one computed evaluation and runs the bounded
 /// protocol. With capacity 0 (or an empty chain) this is exactly the
-/// pre-witness `++distance_computations; BoundedDistance(...)` sequence.
-template <typename StoredFn, typename Metric, typename ObjectT>
+/// pre-witness `++distance_computations; eval.DistanceWithin(...)`
+/// sequence.
+template <typename StoredFn, typename Evaluator, typename ObjectT>
 inline double GuardedDistanceWithin(const WitnessChain& chain, int capacity,
-                                    StoredFn&& stored, const Metric& metric,
-                                    const ObjectT& a, const ObjectT& b,
-                                    double bound, QueryStats* st) {
+                                    StoredFn&& stored, const Evaluator& eval,
+                                    const ObjectT& x, double bound,
+                                    QueryStats* st) {
   if (capacity > 0 && !chain.Empty() &&
       WitnessLowerBound(chain, capacity, stored) > bound) {
     ++st->distance_calcs_avoided_by_witness;
-    if constexpr (internal::WitnessAwareMetric<Metric>) {
-      metric.RecordAvoided();
+    if constexpr (internal::WitnessAwareEvaluator<Evaluator>) {
+      eval.RecordAvoided();
     }
     return std::numeric_limits<double>::infinity();
   }
   ++st->distance_computations;
-  return BoundedDistance(metric, a, b, bound);
+  return eval.DistanceWithin(x, bound);
 }
 
 /// Guarded evaluation for sites with no stored witness distances (linear
 /// scan, vp-tree and GNAT buckets, M-trees before their cascade is
-/// installed): one computed evaluation through the bounded protocol.
-/// Identical accounting to the historical inline sequence, but routed
-/// through the engine so prune sites stay lintable.
-template <typename Metric, typename ObjectT>
-inline double CountedDistanceWithin(const Metric& metric, const ObjectT& a,
-                                    const ObjectT& b, double bound,
-                                    QueryStats* st) {
+/// installed): one computed evaluation of d(Q, x) through Q's evaluator's
+/// bounded protocol. Identical accounting to the historical inline
+/// sequence, but routed through the engine so prune sites stay lintable.
+template <typename Evaluator, typename ObjectT>
+inline double CountedDistanceWithin(const Evaluator& eval, const ObjectT& x,
+                                    double bound, QueryStats* st) {
   ++st->distance_computations;
-  return BoundedDistance(metric, a, b, bound);
+  return eval.DistanceWithin(x, bound);
 }
 
 }  // namespace engine

@@ -235,6 +235,8 @@ class Gnat {
   template <typename Collector>
   void Traverse(const Object& query, Collector& collector,
                 QueryStats* st) const {
+    // Q's evaluator, prepared once for every distance of this search.
+    const auto eval = PrepareQuery(metric_, query);
     engine::BestFirstSearch<const Node*>(
         root_.get(), /*root_trace_id=*/0, collector, st,
         [&](const engine::FrontierEntry<const Node*>& item, auto& frontier) {
@@ -246,7 +248,7 @@ class Gnat {
             for (const auto& [obj, oid] : node.bucket) {
               collector.Offer(oid, obj,
                               engine::CountedDistanceWithin(
-                                  metric_, query, obj, collector.Bound(), st));
+                                  eval, obj, collector.Bound(), st));
             }
             if (st->trace != nullptr) {
               const auto scanned = static_cast<uint32_t>(node.bucket.size());
@@ -268,7 +270,7 @@ class Gnat {
             // pruning and the children's dmin bounds — so it skips the
             // bounded early exit.
             ++st->distance_computations;
-            const double d = metric_(query, node.splits[i]);
+            const double d = eval(node.splits[i]);
             computed[i] = true;
             ++scanned;
             split_distance[i] = d;

@@ -12,6 +12,11 @@
 // nanoseconds spent inside the wrapped metric (DistanceCounter::nanos),
 // giving a direct measurement of the model's CPU-cost unit. With obs off
 // the timing branch is a single cached test and nanos() stays zero.
+//
+// Prepare (metric/prepared.h) wraps the inner metric's per-query evaluator
+// in a CountedEvaluator that counts, times and records avoided
+// evaluations exactly like the decorator's own calls, so a search that
+// prepares its query reports the same ledger as one that does not.
 
 #ifndef MCM_METRIC_COUNTED_METRIC_H_
 #define MCM_METRIC_COUNTED_METRIC_H_
@@ -22,6 +27,7 @@
 
 #include "mcm/common/clock.h"
 #include "mcm/metric/bounded.h"
+#include "mcm/metric/prepared.h"
 #include "mcm/obs/metrics.h"
 
 namespace mcm {
@@ -60,6 +66,49 @@ class DistanceCounter {
   std::atomic<uint64_t> nanos_{0};
 };
 
+/// Charges one evaluation to `counter` and runs `eval`, timing it when
+/// MCM_OBS is on.
+template <typename Eval>
+double CountedCall(DistanceCounter& counter, Eval&& eval) {
+  counter.Increment();
+  if (ObsEnabled()) {
+    const uint64_t start_ns = MonotonicNanos();
+    const double d = eval();
+    counter.AddNanos(MonotonicNanos() - start_ns);
+    return d;
+  }
+  return eval();
+}
+
+/// A per-query evaluator that charges every evaluation to a
+/// DistanceCounter: CountedMetric::Prepare's result. `Inner` is the
+/// wrapped metric's evaluator (QueryEvaluator<Metric, Object>).
+template <typename Inner>
+class CountedEvaluator {
+ public:
+  template <typename Metric, typename ObjectT>
+  CountedEvaluator(const Metric& metric, const ObjectT& query,
+                   std::shared_ptr<DistanceCounter> counter)
+      : inner_(PrepareQuery(metric, query)), counter_(std::move(counter)) {}
+
+  template <typename ObjectT>
+  double operator()(const ObjectT& x) const {
+    return CountedCall(*counter_, [&] { return inner_(x); });
+  }
+
+  template <typename ObjectT>
+  double DistanceWithin(const ObjectT& x, double bound) const {
+    return CountedCall(*counter_,
+                       [&] { return inner_.DistanceWithin(x, bound); });
+  }
+
+  void RecordAvoided() const { counter_->IncrementAvoided(); }
+
+ private:
+  Inner inner_;
+  std::shared_ptr<DistanceCounter> counter_;
+};
+
 /// Wraps a metric functor and increments a shared DistanceCounter on every
 /// evaluation. Copies of a CountedMetric share the same counter.
 template <typename Metric>
@@ -74,14 +123,7 @@ class CountedMetric {
 
   template <typename ObjectT>
   double operator()(const ObjectT& a, const ObjectT& b) const {
-    counter_->Increment();
-    if (ObsEnabled()) {
-      const uint64_t start_ns = MonotonicNanos();
-      const double d = metric_(a, b);
-      counter_->AddNanos(MonotonicNanos() - start_ns);
-      return d;
-    }
-    return metric_(a, b);
+    return CountedCall(*counter_, [&] { return metric_(a, b); });
   }
 
   /// Bounded evaluation via the inner metric (full distance when the inner
@@ -89,15 +131,20 @@ class CountedMetric {
   template <typename ObjectT>
   double DistanceWithin(const ObjectT& a, const ObjectT& b,
                         double bound) const {
-    counter_->Increment();
-    if (ObsEnabled()) {
-      const uint64_t start_ns = MonotonicNanos();
-      const double d = BoundedDistance(metric_, a, b, bound);
-      counter_->AddNanos(MonotonicNanos() - start_ns);
-      return d;
-    }
-    return BoundedDistance(metric_, a, b, bound);
+    return CountedCall(*counter_,
+                       [&] { return BoundedDistance(metric_, a, b, bound); });
   }
+
+  /// Per-query evaluator over the inner metric's (metric/prepared.h); its
+  /// evaluations count against this metric's counter.
+  template <typename ObjectT>
+  CountedEvaluator<QueryEvaluator<Metric, ObjectT>> Prepare(
+      const ObjectT& query) const {
+    return CountedEvaluator<QueryEvaluator<Metric, ObjectT>>(metric_, query,
+                                                             counter_);
+  }
+  template <typename ObjectT>
+  void Prepare(const ObjectT&& query) const = delete;
 
   /// Notes one metric evaluation skipped by a witness bound. Called by the
   /// engine's guarded entry points so the decorator's ledger distinguishes

@@ -15,23 +15,16 @@ constexpr size_t kMaxKernelLength = 64;
 
 // Myers' bit-vector algorithm (J. ACM 1999) in Hyyrö's formulation for
 // global Levenshtein distance. Bit i of each word holds the vertical delta
-// D[i+1][j] - D[i][j] of the DP column over `s` (1..64 bytes); one column
-// step per byte of `t`, tracking D[|s|][j] in `d`. Returns exactly the
-// DP's value.
-size_t BitParallelEditDistance(const std::string& s, const std::string& t) {
-  // Match masks per byte value. Only the entries the loops read are set,
-  // every byte of t and s being cleared first: zeroing all 2 KiB would add
-  // about a third to a keyword-pair call.
-  uint64_t peq[256];
-  for (const char c : t) peq[static_cast<unsigned char>(c)] = 0;
-  for (const char c : s) peq[static_cast<unsigned char>(c)] = 0;
-  for (size_t i = 0; i < s.size(); ++i) {
-    peq[static_cast<unsigned char>(s[i])] |= uint64_t{1} << i;
-  }
-  const uint64_t last = uint64_t{1} << (s.size() - 1);
+// D[i+1][j] - D[i][j] of the DP column over a string s of m = 1..64 bytes
+// whose match masks are `peq` (bit i of peq[c] set iff s[i] == c); one
+// column step per byte of `t`, tracking D[m][j] in `d`. Returns exactly
+// the DP's value. The one-shot EditDistance / BoundedEditDistance and the
+// prepared evaluator share this loop and differ only in who builds `peq`.
+size_t MyersColumnSteps(const uint64_t* peq, size_t m, const std::string& t) {
+  const uint64_t last = uint64_t{1} << (m - 1);
   uint64_t vp = ~uint64_t{0};  // D[i][0] = i: every vertical delta is +1.
   uint64_t vn = 0;
-  size_t d = s.size();
+  size_t d = m;
   for (const char c : t) {
     const uint64_t x = peq[static_cast<unsigned char>(c)] | vn;
     const uint64_t d0 = (((x & vp) + vp) ^ vp) | x;
@@ -45,6 +38,20 @@ size_t BitParallelEditDistance(const std::string& s, const std::string& t) {
     vp = (hn << 1) | ~(hp_in | d0);
   }
   return d;
+}
+
+// One-shot kernel: s (1..64 bytes) is the bit column.
+size_t BitParallelEditDistance(const std::string& s, const std::string& t) {
+  // Match masks per byte value. Only the entries the loops read are set,
+  // every byte of t and s being cleared first: zeroing all 2 KiB would add
+  // about a third to a keyword-pair call.
+  uint64_t peq[256];
+  for (const char c : t) peq[static_cast<unsigned char>(c)] = 0;
+  for (const char c : s) peq[static_cast<unsigned char>(c)] = 0;
+  for (size_t i = 0; i < s.size(); ++i) {
+    peq[static_cast<unsigned char>(s[i])] |= uint64_t{1} << i;
+  }
+  return MyersColumnSteps(peq, s.size(), t);
 }
 
 }  // namespace
@@ -154,6 +161,40 @@ double EditDistanceMetric::DistanceWithin(const std::string& a,
     return std::numeric_limits<double>::infinity();
   }
   return static_cast<double>(d);
+}
+
+EditDistanceMetric::Prepared::Prepared(const std::string& query)
+    : query_(&query) {
+  if (query.empty() || query.size() > kMaxKernelLength) return;
+  for (size_t i = 0; i < query.size(); ++i) {
+    peq_[static_cast<unsigned char>(query[i])] |= uint64_t{1} << i;
+  }
+}
+
+double EditDistanceMetric::Prepared::operator()(const std::string& x) const {
+  const size_t m = query_->size();
+  if (m == 0 || m > kMaxKernelLength) {
+    return static_cast<double>(EditDistance(*query_, x));
+  }
+  return static_cast<double>(MyersColumnSteps(peq_, m, x));
+}
+
+double EditDistanceMetric::Prepared::DistanceWithin(const std::string& x,
+                                                    double bound) const {
+  const size_t m = query_->size();
+  if (m == 0 || m > kMaxKernelLength) {
+    return EditDistanceMetric().DistanceWithin(*query_, x, bound);
+  }
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  if (!(bound >= 0.0)) return kInf;
+  // The one-shot answers, without its integer band: the distance is at
+  // least the length gap, and an integer d is <= bound iff it is <=
+  // floor(bound), so comparing in double gives the same verdicts.
+  const size_t n = x.size();
+  const size_t gap = m > n ? m - n : n - m;
+  if (static_cast<double>(gap) > bound) return kInf;
+  const double d = static_cast<double>(MyersColumnSteps(peq_, m, x));
+  return d <= bound ? d : kInf;
 }
 
 WeightedEditDistance::WeightedEditDistance(double insert_cost,

@@ -5,6 +5,7 @@
 #define MCM_METRIC_STRING_METRICS_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 
 namespace mcm {
@@ -34,6 +35,29 @@ struct EditDistanceMetric {
   /// k = min(floor(bound), longer length).
   double DistanceWithin(const std::string& a, const std::string& b,
                         double bound) const;
+
+  /// Per-query evaluator (metric/prepared.h). A query Q of 1..64 bytes
+  /// gets its bit-parallel match masks built once, here; each evaluation
+  /// then runs only the length-gap check and one column step per byte of
+  /// the candidate, with Q as the bit column whichever string is shorter.
+  /// Other queries fall back to the one-shot functions. Answers equal
+  /// operator()(Q, x) and DistanceWithin(Q, x, bound) exactly. The
+  /// evaluator refers to Q, which must outlive it.
+  class Prepared {
+   public:
+    explicit Prepared(const std::string& query);
+
+    double operator()(const std::string& x) const;
+    double DistanceWithin(const std::string& x, double bound) const;
+
+   private:
+    const std::string* query_;
+    // peq_[c] has bit i set iff Q[i] == c; all zero outside 1..64 bytes.
+    uint64_t peq_[256] = {};
+  };
+
+  Prepared Prepare(const std::string& query) const { return Prepared(query); }
+  Prepared Prepare(const std::string&& query) const = delete;
 };
 
 /// Weighted edit distance with distinct insert/delete/substitute costs.

@@ -26,6 +26,7 @@
 #include "mcm/cost/tree_stats.h"
 #include "mcm/engine/search_core.h"
 #include "mcm/engine/witness.h"
+#include "mcm/metric/prepared.h"
 #include "mcm/mtree/node.h"
 #include "mcm/mtree/node_store.h"
 #include "mcm/mtree/options.h"
@@ -175,7 +176,14 @@ class MTree {
     if (root_ == kInvalidNodeId || predicates.empty()) {
       return results;
     }
-    ComplexRecurse(root_, predicates, combine, /*level=*/1, st, &results);
+    // One evaluator per predicate, prepared once for the whole traversal.
+    std::vector<QueryEvaluator<Metric, Object>> evals;
+    evals.reserve(predicates.size());
+    for (const auto& p : predicates) {
+      evals.push_back(PrepareQuery(metric_, p.query));
+    }
+    ComplexRecurse(root_, predicates, evals, combine, /*level=*/1, st,
+                   &results);
     ScopedSpan collect_span(st, QueryPhase::kCollect);
     std::sort(results.begin(), results.end(),
               [](const Result& a, const Result& b) {
@@ -318,9 +326,10 @@ class MTree {
     RoutingEntry<Object> second;
   };
 
-  double Dist(const Object& a, const Object& b, QueryStats* st) const {
+  double Dist(const QueryEvaluator<Metric, Object>& eval, const Object& x,
+              QueryStats* st) const {
     ++st->distance_computations;
-    return metric_(a, b);
+    return eval(x);
   }
 
   /// Fills the ancestor-distance arrays of the subtree at `id`. `path`
@@ -370,6 +379,7 @@ class MTree {
   }
 
   void ComplexRecurse(NodeId id, const std::vector<Predicate>& predicates,
+                      const std::vector<QueryEvaluator<Metric, Object>>& evals,
                       Combine combine, uint32_t level, QueryStats* st,
                       std::vector<Result>* out) const {
     // Full (unbounded) distances throughout: the reported combined distance
@@ -382,9 +392,9 @@ class MTree {
         bool all = true, any = false;
         double combined = conjunctive ? 0.0
                                       : std::numeric_limits<double>::max();
-        for (const auto& p : predicates) {
-          const double d = Dist(p.query, e.object, st);
-          const bool hit = d <= p.radius;
+        for (size_t p = 0; p < predicates.size(); ++p) {
+          const double d = Dist(evals[p], e.object, st);
+          const bool hit = d <= predicates[p].radius;
           all = all && hit;
           any = any || hit;
           combined = conjunctive ? std::max(combined, d)
@@ -406,15 +416,16 @@ class MTree {
     uint32_t scanned = 0;
     for (const auto& e : node->routing_entries) {
       bool all = true, any = false;
-      for (const auto& p : predicates) {
-        const double d = Dist(p.query, e.object, st);
-        const bool overlap = d <= e.covering_radius + p.radius;
+      for (size_t p = 0; p < predicates.size(); ++p) {
+        const double d = Dist(evals[p], e.object, st);
+        const bool overlap = d <= e.covering_radius + predicates[p].radius;
         all = all && overlap;
         any = any || overlap;
       }
       ++scanned;
       if (conjunctive ? all : any) {
-        ComplexRecurse(e.child, predicates, combine, level + 1, st, out);
+        ComplexRecurse(e.child, predicates, evals, combine, level + 1, st,
+                       out);
       } else {
         ++st->nodes_pruned;
         if (st->trace != nullptr) {
@@ -511,6 +522,8 @@ class MTree {
     // valid; capacity 0 makes every guarded call collapse to the plain
     // bounded evaluation, bit-identical to the pre-witness search.
     const int wcap = cascade_installed_ ? witness_capacity_ : 0;
+    // Q's evaluator, prepared once for every distance of this search.
+    const auto eval = PrepareQuery(metric_, query);
     engine::BestFirstSearch<TraversalHandle>(
         TraversalHandle{root_, std::numeric_limits<double>::quiet_NaN()},
         /*root_trace_id=*/root_, collector, st,
@@ -553,7 +566,7 @@ class MTree {
                 const uint64_t avoided_before =
                     st->distance_calcs_avoided_by_witness;
                 const double d = engine::GuardedDistanceWithin(
-                    item.witness, wcap, stored, metric_, query, e.object,
+                    item.witness, wcap, stored, eval, e.object,
                     collector.Bound(), st);
                 if (st->distance_calcs_avoided_by_witness !=
                     avoided_before) {
@@ -610,7 +623,7 @@ class MTree {
               const uint64_t avoided_before =
                   st->distance_calcs_avoided_by_witness;
               const double d = engine::GuardedDistanceWithin(
-                  item.witness, wcap, stored, metric_, query, e.object,
+                  item.witness, wcap, stored, eval, e.object,
                   collector.Bound() + e.covering_radius, st);
               if (st->distance_calcs_avoided_by_witness != avoided_before) {
                 ++wavoided;

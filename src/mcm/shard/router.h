@@ -52,6 +52,7 @@
 #include "mcm/common/query_stats.h"
 #include "mcm/common/thread_annotations.h"
 #include "mcm/engine/search_core.h"
+#include "mcm/metric/prepared.h"
 #include "mcm/obs/metrics.h"
 #include "mcm/obs/phase.h"
 #include "mcm/shard/admission.h"
@@ -245,12 +246,14 @@ class ShardRouter {
   }
 
   /// Shared first phase of both plans: per-shard pivot distance (charged
-  /// to `stats`) and the annulus lower bound. Empty shards come back
-  /// undispatched; with cost routing off no pivot distance is spent and
-  /// every non-empty shard is dispatched with bound 0.
+  /// to `stats`, through Q's evaluator prepared once for all shards) and
+  /// the annulus lower bound. Empty shards come back undispatched; with
+  /// cost routing off no pivot distance is spent and every non-empty shard
+  /// is dispatched with bound 0.
   RoutePlan MakeDecisions(const Object& query, QueryStats* stats) const {
     RoutePlan plan;
     plan.decisions.resize(index_.num_shards());
+    const auto eval = PrepareQuery(index_.metric(), query);
     for (size_t s = 0; s < index_.num_shards(); ++s) {
       ShardDecision& d = plan.decisions[s];
       d.shard = s;
@@ -262,7 +265,7 @@ class ShardRouter {
       }
       if (!options_.cost_routing) continue;  // Naive scatter: bound 0.
       const ShardSidecar<Traits>& sidecar = index_.sidecar(s);
-      const double dp = index_.metric()(query, sidecar.pivot);
+      const double dp = eval(sidecar.pivot);
       if (stats != nullptr) ++stats->distance_computations;
       d.pivot_distance = dp;
       d.lower_bound = std::max(

@@ -231,6 +231,8 @@ class VpTree {
   template <typename Collector>
   void Traverse(const Object& query, Collector& collector,
                 QueryStats* st) const {
+    // Q's evaluator, prepared once for every distance of this search.
+    const auto eval = PrepareQuery(metric_, query);
     engine::BestFirstSearch<const Node*>(
         root_.get(), /*root_trace_id=*/0, collector, st,
         [&](const engine::FrontierEntry<const Node*>& item, auto& frontier) {
@@ -243,7 +245,7 @@ class VpTree {
             for (const auto& [obj, oid] : node.bucket) {
               collector.Offer(oid, obj,
                               engine::CountedDistanceWithin(
-                                  metric_, query, obj, collector.Bound(), st));
+                                  eval, obj, collector.Bound(), st));
             }
             if (st->trace != nullptr) {
               const auto scanned = static_cast<uint32_t>(node.bucket.size());
@@ -252,7 +254,7 @@ class VpTree {
             return;
           }
           ++st->distance_computations;
-          const double d = metric_(query, node.vantage);
+          const double d = eval(node.vantage);
           if (st->trace != nullptr) {
             st->trace->RecordVisit(0, item.level, 1, 0, 1);
           }

@@ -2,13 +2,15 @@
 // DistanceWithin must agree with the full metric on the verdict
 // (d <= bound?) for every bound and return the bit-exact distance whenever
 // it does not abort — plus the counting contract (one computation per
-// call, aborted or not) and the PR's headline invariant: threading bounded
-// evaluation through every index leaves distance-computation counts,
+// call, aborted or not) and the headline invariant: threading bounded
+// evaluation and prepared per-query evaluators (metric/prepared.h) through
+// every index leaves distance-computation counts, witness-avoided counts,
 // node-access counts, and query answers bit-identical, so the paper's
 // cost-model validation is unperturbed.
 
 #include "mcm/metric/bounded.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -23,6 +25,7 @@
 #include "mcm/dataset/vector_datasets.h"
 #include "mcm/gnat/gnat.h"
 #include "mcm/metric/counted_metric.h"
+#include "mcm/metric/prepared.h"
 #include "mcm/metric/string_metrics.h"
 #include "mcm/metric/traits.h"
 #include "mcm/metric/vector_metrics.h"
@@ -46,9 +49,28 @@ struct FullOnly {
   }
 };
 
+/// Exposes EditDistanceMetric's two-argument calls but not Prepare: an
+/// index over it evaluates through the forwarding evaluator, i.e. the
+/// one-shot calls every search made before evaluators existed.
+struct HidePrepareEdit {
+  EditDistanceMetric inner;
+  double operator()(const std::string& a, const std::string& b) const {
+    return inner(a, b);
+  }
+  double DistanceWithin(const std::string& a, const std::string& b,
+                        double bound) const {
+    return inner.DistanceWithin(a, b, bound);
+  }
+};
+
 static_assert(BoundedMetric<L2Distance, FloatVector>);
 static_assert(BoundedMetric<EditDistanceMetric, std::string>);
 static_assert(!BoundedMetric<FullOnly<L2Distance>, FloatVector>);
+static_assert(PreparableMetric<EditDistanceMetric, std::string>);
+static_assert(
+    PreparableMetric<CountedMetric<EditDistanceMetric>, std::string>);
+static_assert(!PreparableMetric<HidePrepareEdit, std::string>);
+static_assert(!PreparableMetric<L2Distance, FloatVector>);
 
 FloatVector RandomVector(size_t dim, RandomEngine& rng) {
   FloatVector v(dim);
@@ -183,8 +205,26 @@ void ExpectSameResults(const ResultsA& a, const ResultsB& b) {
 
 void ExpectSameStats(const QueryStats& a, const QueryStats& b) {
   EXPECT_EQ(a.distance_computations, b.distance_computations);
+  EXPECT_EQ(a.distance_calcs_avoided_by_witness,
+            b.distance_calcs_avoided_by_witness);
   EXPECT_EQ(a.nodes_accessed, b.nodes_accessed);
   EXPECT_EQ(a.nodes_pruned, b.nodes_pruned);
+}
+
+/// The up to `k` words within `radius` of `q`, in the engine's (distance,
+/// oid) order, by a loop over the one-shot EditDistance: an oracle that
+/// shares no evaluator with the indexes (the linear scan does).
+std::vector<SearchResult<std::string>> BruteForceEdit(
+    const std::vector<std::string>& words, const std::string& q,
+    double radius, size_t k) {
+  std::vector<SearchResult<std::string>> out;
+  for (size_t i = 0; i < words.size(); ++i) {
+    const double d = static_cast<double>(EditDistance(q, words[i]));
+    if (d <= radius) out.push_back({i, words[i], d});
+  }
+  std::sort(out.begin(), out.end(), engine::ResultOrder<std::string>);
+  if (out.size() > k) out.resize(k);
+  return out;
 }
 
 TEST(CountInvariance, MTreeRangeAndKnnCountsAreBitIdentical) {
@@ -293,9 +333,80 @@ TEST(CountInvariance, StringMTreeCountsAreBitIdentical) {
   };
   auto full_tree = MTree<StringTraits<FullOnlyEdit>>::BulkLoad(
       words, FullOnlyEdit{}, options);
+
+  // Prepared evaluators against the one-shot calls, index by index: each
+  // index runs over CountedMetric<EditDistanceMetric> (whose Prepare wraps
+  // the edit distance's) and over HidePrepareEdit (which forwards). The
+  // M-tree runs with its witness cascade installed.
+  const CountedMetric<EditDistanceMetric> counted;  // Copies share counts.
+  using CountedTraits = StringTraits<CountedMetric<EditDistanceMetric>>;
+  using HiddenTraits = StringTraits<HidePrepareEdit>;
+  auto cascade_tree =
+      MTree<CountedTraits>::BulkLoad(words, counted, options);
+  cascade_tree.InstallWitnessCascade();
+  auto hidden_cascade_tree =
+      MTree<HiddenTraits>::BulkLoad(words, HidePrepareEdit{}, options);
+  hidden_cascade_tree.InstallWitnessCascade();
+  VpTreeOptions vp_options;
+  vp_options.seed = 45;
+  const VpTree<CountedTraits> vp(words, counted, vp_options);
+  const VpTree<HiddenTraits> hidden_vp(words, HidePrepareEdit{},
+                                       vp_options);
+  GnatOptions gnat_options;
+  gnat_options.seed = 45;
+  const Gnat<CountedTraits> gnat(words, counted, gnat_options);
+  const Gnat<HiddenTraits> hidden_gnat(words, HidePrepareEdit{},
+                                       gnat_options);
+  const LinearScan<CountedTraits> scan(words, counted);
+  const LinearScan<HiddenTraits> hidden_scan(words, HidePrepareEdit{});
+
+  // Same answers and counters through both metrics, answers equal to the
+  // brute-force oracle, and the counted metric's ledger equal to the
+  // query's counters. Returns the witness-avoided evaluations.
+  const auto compare = [&](const auto& index, const auto& hidden,
+                           const std::string& q) {
+    uint64_t avoided = 0;
+    const auto check = [&](const auto& got, const auto& want,
+                           const QueryStats& st, const QueryStats& hidden_st,
+                           const std::vector<SearchResult<std::string>>&
+                               oracle) {
+      ExpectSameResults(got, want);
+      ExpectSameStats(st, hidden_st);
+      ExpectSameResults(got, oracle);
+      EXPECT_EQ(counted.count(), st.distance_computations);
+      EXPECT_EQ(counted.avoided_count(), st.distance_calcs_avoided_by_witness);
+      avoided += st.distance_calcs_avoided_by_witness;
+    };
+    for (const double radius : {1.0, 2.0, 4.0}) {
+      QueryStats st, hidden_st;
+      counted.Reset();
+      const auto got = index.RangeSearch(q, radius, &st);
+      check(got, hidden.RangeSearch(q, radius, &hidden_st), st, hidden_st,
+            BruteForceEdit(words, q, radius, words.size()));
+    }
+    QueryStats st, hidden_st;
+    counted.Reset();
+    const auto got = index.KnnSearch(q, 5, &st);
+    check(got, hidden.KnnSearch(q, 5, &hidden_st), st, hidden_st,
+          BruteForceEdit(words, q, kInf, 5));
+    return avoided;
+  };
+
+  // Dataset words (exact matches), unseen queries, and both sides of the
+  // evaluator's 64-byte limit: the empty query and a 70-byte one fall back
+  // to the one-shot functions.
   auto rng = MakeEngine(45, 1);
+  std::vector<std::string> queries;
   for (int rep = 0; rep < 12; ++rep) {
-    const auto& q = words[UniformIndex(rng, words.size())];
+    queries.push_back(words[UniformIndex(rng, words.size())]);
+  }
+  for (const std::string& q : GenerateKeywordQueries(4, 46)) {
+    queries.push_back(q);
+  }
+  queries.push_back("");
+  queries.push_back(std::string(70, 'a'));
+  uint64_t cascade_avoided = 0;
+  for (const std::string& q : queries) {
     for (const double radius : {1.0, 2.0, 4.0}) {
       QueryStats sb, sf;
       ExpectSameResults(bounded_tree.RangeSearch(q, radius, &sb),
@@ -306,7 +417,13 @@ TEST(CountInvariance, StringMTreeCountsAreBitIdentical) {
     ExpectSameResults(bounded_tree.KnnSearch(q, 5, &sb),
                       full_tree.KnnSearch(q, 5, &sf));
     ExpectSameStats(sb, sf);
+    cascade_avoided += compare(cascade_tree, hidden_cascade_tree, q);
+    compare(vp, hidden_vp, q);
+    compare(gnat, hidden_gnat, q);
+    compare(scan, hidden_scan, q);
   }
+  // The cascade's avoided-evaluation ledger was exercised, not just zero.
+  EXPECT_GT(cascade_avoided, 0u);
 }
 
 TEST(CountInvariance, StringMTreeHugeRadiusReportsTrueDistances) {

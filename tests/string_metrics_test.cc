@@ -37,10 +37,15 @@ size_t ReferenceEditDistance(const std::string& a, const std::string& b) {
 // Checks every edit-distance entry point on (a, b) against the reference:
 // the full distance and the functor, BoundedEditDistance at every integer
 // bound up to the longer length + 1, and DistanceWithin at -1, every
-// integer and half-integer in that range, 1e20, 1e300 and +inf. Stops at
-// the first mismatch so a broken kernel reports one pair, not millions.
-::testing::AssertionResult MatchesReference(const std::string& a,
-                                            const std::string& b) {
+// integer and half-integer in that range, 1e20, 1e300, +inf and NaN. Given
+// the prepared evaluators `pa` = Prepare(a) and `pb` = Prepare(b), checks
+// them too, against b and a, unbounded and at every one of those bounds.
+// Stops at the first mismatch so a broken kernel reports one pair, not
+// millions.
+::testing::AssertionResult MatchesReference(
+    const std::string& a, const std::string& b,
+    const EditDistanceMetric::Prepared* pa = nullptr,
+    const EditDistanceMetric::Prepared* pb = nullptr) {
   const size_t exact = ReferenceEditDistance(a, b);
   const auto fail = [&]() {
     return ::testing::AssertionFailure()
@@ -54,6 +59,12 @@ size_t ReferenceEditDistance(const std::string& a, const std::string& b) {
   if (metric(a, b) != static_cast<double>(exact)) {
     return fail() << "metric " << metric(a, b);
   }
+  if (pa != nullptr && (*pa)(b) != static_cast<double>(exact)) {
+    return fail() << "Prepare(a)(b) " << (*pa)(b);
+  }
+  if (pb != nullptr && (*pb)(a) != static_cast<double>(exact)) {
+    return fail() << "Prepare(b)(a) " << (*pb)(a);
+  }
   const size_t top = std::max(a.size(), b.size()) + 1;
   for (size_t k = 0; k <= top; ++k) {
     const size_t got = BoundedEditDistance(a, b, k);
@@ -62,19 +73,43 @@ size_t ReferenceEditDistance(const std::string& a, const std::string& b) {
     }
   }
   std::vector<double> bounds = {-1.0, 1e20, 1e300,
-                                std::numeric_limits<double>::infinity()};
+                                std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::quiet_NaN()};
   for (size_t k = 0; k <= top; ++k) {
     bounds.push_back(static_cast<double>(k));
     bounds.push_back(static_cast<double>(k) + 0.5);
   }
   for (const double bound : bounds) {
+    const auto ok = [&](double got) {
+      return static_cast<double>(exact) <= bound
+                 ? got == static_cast<double>(exact)
+                 : std::isinf(got) && got > 0.0;
+    };
     const double got = metric.DistanceWithin(a, b, bound);
-    const bool ok = static_cast<double>(exact) <= bound
-                        ? got == static_cast<double>(exact)
-                        : std::isinf(got) && got > 0.0;
-    if (!ok) return fail() << "DistanceWithin bound " << bound << " -> " << got;
+    if (!ok(got)) {
+      return fail() << "DistanceWithin bound " << bound << " -> " << got;
+    }
+    if (pa != nullptr && !ok(pa->DistanceWithin(b, bound))) {
+      return fail() << "Prepare(a).DistanceWithin bound " << bound << " -> "
+                    << pa->DistanceWithin(b, bound);
+    }
+    if (pb != nullptr && !ok(pb->DistanceWithin(a, bound))) {
+      return fail() << "Prepare(b).DistanceWithin bound " << bound << " -> "
+                    << pb->DistanceWithin(a, bound);
+    }
   }
   return ::testing::AssertionSuccess();
+}
+
+// One evaluator per string, prepared once: the all-pairs tests below
+// would otherwise spend most of their time building match masks.
+std::vector<EditDistanceMetric::Prepared> PrepareAll(
+    const std::vector<std::string>& words) {
+  const EditDistanceMetric metric;
+  std::vector<EditDistanceMetric::Prepared> out;
+  out.reserve(words.size());
+  for (const std::string& w : words) out.push_back(metric.Prepare(w));
+  return out;
 }
 
 // Every string of length 0..max_len over `alphabet`.
@@ -251,9 +286,11 @@ TEST(BoundedEditDistance, LargestBoundIsTheFullDistance) {
 TEST(EditDistanceKernel, AllShortStringsOverThreeLetters) {
   // Every ordered pair of strings of length 0..6 over {a, b, c}.
   const std::vector<std::string> words = AllStrings("abc", 6);
-  for (const std::string& a : words) {
-    for (const std::string& b : words) {
-      ASSERT_TRUE(MatchesReference(a, b));
+  const auto prepared = PrepareAll(words);
+  for (size_t i = 0; i < words.size(); ++i) {
+    for (size_t j = 0; j < words.size(); ++j) {
+      ASSERT_TRUE(
+          MatchesReference(words[i], words[j], &prepared[i], &prepared[j]));
     }
   }
 }
@@ -267,9 +304,11 @@ TEST(EditDistanceKernel, HighBytesAndEmbeddedNul) {
   EXPECT_EQ(EditDistance(std::string("\0\0", 2), std::string("\0", 1)), 1u);
   const std::string alphabet("\0a\xe1\x80\xff", 5);
   const std::vector<std::string> words = AllStrings(alphabet, 4);
-  for (const std::string& a : words) {
-    for (const std::string& b : words) {
-      ASSERT_TRUE(MatchesReference(a, b));
+  const auto prepared = PrepareAll(words);
+  for (size_t i = 0; i < words.size(); ++i) {
+    for (size_t j = 0; j < words.size(); ++j) {
+      ASSERT_TRUE(
+          MatchesReference(words[i], words[j], &prepared[i], &prepared[j]));
     }
   }
   auto rng = MakeEngine(23);
@@ -278,8 +317,13 @@ TEST(EditDistanceKernel, HighBytesAndEmbeddedNul) {
     std::string b = a;
     b[0] = '\x7f';
     b[len - 1] = '\0';
-    ASSERT_TRUE(MatchesReference(a, b));
-    ASSERT_TRUE(MatchesReference(a, RandomString(rng, len + 2, alphabet)));
+    const std::string c = RandomString(rng, len + 2, alphabet);
+    const EditDistanceMetric metric;
+    const auto pa = metric.Prepare(a);
+    const auto pb = metric.Prepare(b);
+    const auto pc = metric.Prepare(c);
+    ASSERT_TRUE(MatchesReference(a, b, &pa, &pb));
+    ASSERT_TRUE(MatchesReference(a, c, &pa, &pc));
   }
 }
 
@@ -290,8 +334,10 @@ TEST(EditDistanceKernel, WordBoundaryAndDpFallbackLengths) {
   // last position too), insertions, and unrelated strings.
   auto rng = MakeEngine(29);
   const std::string alphabet = "abcd";
+  const EditDistanceMetric metric;
   for (const size_t len : {63u, 64u, 65u, 200u}) {
     const std::string a = RandomString(rng, len, alphabet);
+    const auto pa = metric.Prepare(a);
     std::vector<std::string> partners = {a};
     std::string edge = a;
     edge[0] = 'x';
@@ -313,7 +359,10 @@ TEST(EditDistanceKernel, WordBoundaryAndDpFallbackLengths) {
       partners.push_back(RandomString(rng, len + extra, alphabet));
     }
     for (const std::string& b : partners) {
-      ASSERT_TRUE(MatchesReference(a, b)) << "length " << len;
+      // The evaluators run both ways in the first call, so the swapped
+      // call checks the one-shot functions only.
+      const auto pb = metric.Prepare(b);
+      ASSERT_TRUE(MatchesReference(a, b, &pa, &pb)) << "length " << len;
       ASSERT_TRUE(MatchesReference(b, a)) << "length " << len;
     }
   }

@@ -1,6 +1,7 @@
 // Unit tests for the engine's witness set (engine/witness.h): capacity
 // resolution, chain structure and sharing, triangle-inequality lower
-// bounds, and the two sanctioned prune-site entry points.
+// bounds, and the two sanctioned prune-site entry points, which evaluate
+// through the query's evaluator (metric/prepared.h).
 
 #include "mcm/engine/witness.h"
 
@@ -21,8 +22,8 @@ using engine::WitnessChain;
 using engine::WitnessInterval;
 using engine::WitnessLowerBound;
 
-// Metric over doubles that counts evaluations; DistanceWithin-free so
-// BoundedDistance falls back to the plain call.
+// Metric over doubles that counts evaluations; DistanceWithin- and
+// Prepare-free, so its evaluator forwards to the plain call.
 struct AbsMetric {
   mutable int calls = 0;
   double operator()(double a, double b) const {
@@ -31,8 +32,9 @@ struct AbsMetric {
   }
 };
 
-// Metric that additionally keeps the avoided-evaluation ledger the
-// engine::internal::WitnessAwareMetric concept looks for.
+// Metric that additionally keeps the avoided-evaluation ledger; its
+// forwarding evaluator passes it on to the
+// engine::internal::WitnessAwareEvaluator concept.
 struct LedgeredMetric {
   mutable int calls = 0;
   mutable int avoided = 0;
@@ -42,6 +44,10 @@ struct LedgeredMetric {
   }
   void RecordAvoided() const { ++avoided; }
 };
+
+// The query of the guarded-evaluation tests. An evaluator refers to its
+// query, so it is a named object, not a temporary.
+const double kQuery = 1.0;
 
 TEST(ResolveWitnessCapacityTest, ConfiguredValueWins) {
   EXPECT_EQ(ResolveWitnessCapacity(0), 0);
@@ -152,7 +158,8 @@ TEST(GuardedDistanceWithinTest, CapacityZeroAlwaysComputes) {
   chain = chain.Extend(0, 100.0);  // would prove d > bound if consulted
   const auto stored = [](uint64_t) { return WitnessInterval::Point(0.0); };
   const double d =
-      GuardedDistanceWithin(chain, 0, stored, metric, 1.0, 2.0, 10.0, &st);
+      GuardedDistanceWithin(chain, 0, stored, PrepareQuery(metric, kQuery),
+                            2.0, 10.0, &st);
   EXPECT_DOUBLE_EQ(d, 1.0);
   EXPECT_EQ(metric.calls, 1);
   EXPECT_EQ(st.distance_computations, 1u);
@@ -166,7 +173,8 @@ TEST(GuardedDistanceWithinTest, AvoidsWhenWitnessProvesOutOfRange) {
   chain = chain.Extend(0, 100.0);  // lb = 100 > bound = 10
   const auto stored = [](uint64_t) { return WitnessInterval::Point(0.0); };
   const double d =
-      GuardedDistanceWithin(chain, 8, stored, metric, 1.0, 2.0, 10.0, &st);
+      GuardedDistanceWithin(chain, 8, stored, PrepareQuery(metric, kQuery),
+                            2.0, 10.0, &st);
   EXPECT_TRUE(std::isinf(d));
   EXPECT_EQ(metric.calls, 0);
   EXPECT_EQ(st.distance_computations, 0u);
@@ -180,7 +188,8 @@ TEST(GuardedDistanceWithinTest, ComputesWhenWitnessesAreInconclusive) {
   chain = chain.Extend(0, 5.0);  // lb = 0 with stored = 5
   const auto stored = [](uint64_t) { return WitnessInterval::Point(5.0); };
   const double d =
-      GuardedDistanceWithin(chain, 8, stored, metric, 1.0, 4.0, 10.0, &st);
+      GuardedDistanceWithin(chain, 8, stored, PrepareQuery(metric, kQuery),
+                            4.0, 10.0, &st);
   EXPECT_DOUBLE_EQ(d, 3.0);
   EXPECT_EQ(metric.calls, 1);
   EXPECT_EQ(st.distance_computations, 1u);
@@ -193,7 +202,8 @@ TEST(GuardedDistanceWithinTest, NotifiesWitnessAwareMetrics) {
   WitnessChain chain;
   chain = chain.Extend(0, 100.0);
   const auto stored = [](uint64_t) { return WitnessInterval::Point(0.0); };
-  GuardedDistanceWithin(chain, 8, stored, metric, 1.0, 2.0, 10.0, &st);
+  GuardedDistanceWithin(chain, 8, stored, PrepareQuery(metric, kQuery), 2.0,
+                        10.0, &st);
   EXPECT_EQ(metric.avoided, 1);
   EXPECT_EQ(metric.calls, 0);
 }
@@ -201,7 +211,9 @@ TEST(GuardedDistanceWithinTest, NotifiesWitnessAwareMetrics) {
 TEST(CountedDistanceWithinTest, ChargesExactlyOneComputation) {
   AbsMetric metric;
   QueryStats st;
-  const double d = CountedDistanceWithin(metric, 3.0, 7.0, 100.0, &st);
+  const double query = 3.0;
+  const double d =
+      CountedDistanceWithin(PrepareQuery(metric, query), 7.0, 100.0, &st);
   EXPECT_DOUBLE_EQ(d, 4.0);
   EXPECT_EQ(metric.calls, 1);
   EXPECT_EQ(st.distance_computations, 1u);

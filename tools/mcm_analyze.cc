@@ -28,11 +28,15 @@
 //
 //   accounting  Index code (mtree/vptree/gnat/baseline) computes distances
 //               only through the engine's sanctioned entry points
-//               (GuardedDistanceWithin / CountedDistanceWithin, defined in
-//               engine/witness.h and nowhere else), never passes a null
-//               QueryStats to them, and
-//               every direct metric evaluation in a stats-carrying
-//               function charges exactly one distance_computations tick.
+//               (GuardedDistanceWithin(chain, capacity, stored, eval, x,
+//               bound, st) / CountedDistanceWithin(eval, x, bound, st),
+//               defined in engine/witness.h and nowhere else), never
+//               passes a null QueryStats to them, and every direct
+//               evaluation in a stats-carrying function, of the metric
+//               (metric_(a, b)) or of a query evaluator (eval(x)), charges
+//               exactly one distance_computations tick. An evaluator is a
+//               name bound to PrepareQuery(...) or declared with a
+//               QueryEvaluator<...> type (metric/prepared.h).
 //
 // Usage:
 //   mcm_analyze --rule layering|lock-order|knobs|accounting --root <dir>
@@ -623,14 +627,70 @@ struct FunctionInfo {
   std::vector<CallSite> calls;
   // --- accounting facts ---
   bool has_stats_param = false;    // Takes a QueryStats* parameter.
-  int direct_metric_calls = 0;     // metric_(...) / metric()(...) sites.
+  int direct_metric_calls = 0;     // metric_(...) / eval(...) sites.
   int first_metric_line = 0;
+  std::set<std::string> evaluators;  // Query-evaluator names in scope.
   int charge_increments = 0;       // ++st->distance_computations sites.
   std::vector<std::pair<int, std::string>> guarded_calls;  // line, last arg.
   std::vector<std::pair<int, std::string>> banned_calls;   // line, name.
   bool defines_entry_point = false;
   int entry_point_line = 0;
 };
+
+// At a `QueryEvaluator <` type, possibly inside another template's
+// arguments (std::vector<QueryEvaluator<M, O>>), returns the name it
+// declares: the identifier after the closing `>`s and any `&`, `*` or
+// `const`. Empty when the tokens are no such declaration.
+std::string EvaluatorDeclName(const std::vector<Token>& toks, size_t i,
+                              size_t end) {
+  if (i + 1 > end || toks[i + 1].text != "<") return "";
+  int angle = 0;
+  size_t j = i + 1;
+  for (; j <= end; ++j) {
+    const std::string& w = toks[j].text;
+    if (w == "<") ++angle;
+    if (w == ">" && --angle == 0) break;
+    if (w == ";" || w == "{" || w == "}") return "";
+  }
+  for (++j; j <= end; ++j) {
+    const std::string& w = toks[j].text;
+    if (w != ">" && w != "&" && w != "*" && w != "const") break;
+  }
+  if (j <= end && toks[j].kind == TokKind::kIdent &&
+      CppKeywords().count(toks[j].text) == 0) {
+    return toks[j].text;
+  }
+  return "";
+}
+
+// At a `PrepareQuery (` call, returns the name its result initializes
+// (`eval = PrepareQuery(...)`, `auto eval(PrepareQuery(...))` or
+// `auto eval{PrepareQuery(...)}`, namespace qualifiers allowed). Empty
+// when the result goes anywhere else, e.g. straight into an argument.
+std::string PreparedName(const std::vector<Token>& toks, size_t i) {
+  size_t b = i;
+  while (b >= 2 && toks[b - 1].text == "::" &&
+         toks[b - 2].kind == TokKind::kIdent) {
+    b -= 2;
+  }
+  if (b < 2 || toks[b - 2].kind != TokKind::kIdent ||
+      CppKeywords().count(toks[b - 2].text) != 0) {
+    return "";
+  }
+  const std::string& init = toks[b - 1].text;
+  if (init == "=") return toks[b - 2].text;
+  if (init != "(" && init != "{") return "";
+  // `name(` / `name{` initializes a declaration only after a type.
+  if (b < 3) return "";
+  const Token& before = toks[b - 3];
+  if (before.text == "&" || before.text == "*" || before.text == ">" ||
+      before.text == "auto" ||
+      (before.kind == TokKind::kIdent &&
+       CppKeywords().count(before.text) == 0)) {
+    return toks[b - 2].text;
+  }
+  return "";
+}
 
 struct ProgramModel {
   std::vector<MutexDecl> mutexes;
@@ -884,11 +944,12 @@ class ModelBuilder {
           qualified = prefix + qualified;
         }
         fn.qualified = qualified;
-        // Stats parameter?
+        // Stats parameter? Evaluator parameters?
         for (size_t p = i + 2; p < close; ++p) {
-          if (toks[p].text == "QueryStats") {
-            fn.has_stats_param = true;
-            break;
+          if (toks[p].text == "QueryStats") fn.has_stats_param = true;
+          if (toks[p].text == "QueryEvaluator") {
+            const std::string name = EvaluatorDeclName(toks, p, close);
+            if (!name.empty()) fn.evaluators.insert(name);
           }
         }
         size_t end = MatchBrace(toks, body);
@@ -1105,11 +1166,32 @@ class ModelBuilder {
         continue;
       }
 
-      // Accounting facts.
-      if (t.text == "metric_" || t.text == "metric") {
-        if (i + 1 < toks.size() && toks[i + 1].text == "(" &&
-            (i == 0 || (toks[i - 1].text != "." && toks[i - 1].text != "->" &&
-                        toks[i - 1].text != "::"))) {
+      // Accounting facts. Evaluator names come into scope at their
+      // declaration; a direct evaluation is `metric_(`, `metric(`,
+      // `eval(` or `evals[i](`, not reached through `.`, `->` or `::`.
+      if (t.text == "QueryEvaluator") {
+        const std::string name = EvaluatorDeclName(toks, i, end);
+        if (!name.empty()) fn->evaluators.insert(name);
+      }
+      if (t.text == "PrepareQuery" && i + 1 < toks.size() &&
+          toks[i + 1].text == "(") {
+        const std::string name = PreparedName(toks, i);
+        if (!name.empty()) fn->evaluators.insert(name);
+      }
+      const bool evaluator = fn->evaluators.count(t.text) != 0;
+      if ((t.text == "metric_" || t.text == "metric" || evaluator) &&
+          (i == 0 || (toks[i - 1].text != "." && toks[i - 1].text != "->" &&
+                      toks[i - 1].text != "::"))) {
+        size_t next = i + 1;
+        if (evaluator && next < toks.size() && toks[next].text == "[") {
+          int bracket = 0;
+          for (; next < toks.size(); ++next) {
+            if (toks[next].text == "[") ++bracket;
+            if (toks[next].text == "]" && --bracket == 0) break;
+          }
+          ++next;
+        }
+        if (next < toks.size() && toks[next].text == "(") {
           ++fn->direct_metric_calls;
           if (fn->first_metric_line == 0) fn->first_metric_line = t.line;
         }
@@ -1387,15 +1469,17 @@ std::vector<Violation> CheckAccounting(const Tree& tree) {
     auto dir = dir_of.find(fn.file);
     if (dir == dir_of.end() || !InIndexDir(dir->second)) continue;
 
-    // (2) No direct BoundedDistance / DistanceWithin in index code.
+    // (2) No direct BoundedDistance / DistanceWithin in index code, of a
+    // metric or of a query evaluator.
     for (const auto& [line, name] : fn.banned_calls) {
       out.push_back({fn.file, line, "accounting",
                      "direct " + name + " call in index code (" +
                          fn.qualified +
                          "): prune-site evaluations must go through "
-                         "GuardedDistanceWithin / CountedDistanceWithin so "
-                         "every computed or avoided distance is charged "
-                         "exactly once"});
+                         "GuardedDistanceWithin(chain, capacity, stored, "
+                         "eval, x, bound, st) / CountedDistanceWithin(eval, "
+                         "x, bound, st) so every computed or avoided "
+                         "distance is charged exactly once"});
     }
 
     // (3) Sanctioned calls must charge a real QueryStats (never nullptr).
@@ -1409,17 +1493,19 @@ std::vector<Violation> CheckAccounting(const Tree& tree) {
     }
 
     // (4) Exactly-one-charge: a stats-carrying index function that
-    // evaluates the metric directly must pair every evaluation with one
-    // distance_computations tick (the Dist()-helper discipline).
+    // evaluates the metric or a query evaluator directly must pair every
+    // evaluation with one distance_computations tick (the Dist()-helper
+    // discipline).
     if (fn.has_stats_param && fn.direct_metric_calls > 0 &&
         fn.charge_increments != fn.direct_metric_calls) {
       std::ostringstream msg;
       msg << fn.qualified << " evaluates the metric directly "
           << fn.direct_metric_calls << " time(s) but charges "
           << "distance_computations " << fn.charge_increments
-          << " time(s); every direct evaluation in a stats-carrying "
-          << "function must tick the ledger exactly once (or route "
-          << "through the sanctioned entry points)";
+          << " time(s); every direct evaluation (metric_(a, b) or a "
+          << "query evaluator's eval(x)) in a stats-carrying function "
+          << "must tick the ledger exactly once (or route through "
+          << "GuardedDistanceWithin / CountedDistanceWithin)";
       out.push_back(
           {fn.file, fn.first_metric_line, "accounting", msg.str()});
     }

@@ -8,7 +8,8 @@
 // measures the query-path optimizations of DESIGN.md §9: dispatched SIMD
 // kernels vs the naive scalar loop, the bit-parallel edit distance vs the
 // row DP, a prepared per-query edit-distance evaluator vs one-shot calls,
-// paged node reads decoding into recycled nodes vs fresh ones, bounded
+// paged node reads decoding into recycled nodes vs fresh ones, the M-tree's
+// witness bounds from a flat search path vs a refcounted chain, bounded
 // early-exit evaluation, and the decoded-node cache.
 // MCM_BENCH_FILTER narrows the run (it becomes --benchmark_filter), and
 // with MCM_OBS=1 the main below writes the measured ns/op plus
@@ -19,8 +20,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,6 +35,7 @@
 #include "mcm/dataset/text_datasets.h"
 #include "mcm/dataset/vector_datasets.h"
 #include "mcm/distribution/estimator.h"
+#include "mcm/engine/witness.h"
 #include "mcm/metric/bytes.h"
 #include "mcm/metric/kernels.h"
 #include "mcm/metric/traits.h"
@@ -504,6 +508,107 @@ void BM_KernelNodeDecode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KernelNodeDecode);
+
+// Witness guard: the M-tree's per-entry witness bound and avoided/computed
+// decision over the 32 entries of one leaf at level 4, below a 3-link
+// path (depths 0, 1, 2), at range(Q, 3). The scalar side runs the
+// refcounted chain the search path replaced, kept here as the "before"
+// side of the WitnessGuard speedup: a chain copy per visit (the frontier
+// pop) and, per entry, a walk over its links through a stored(depth)
+// callback returning [lo, hi] intervals. The kernel side loads the
+// search's window once per visit and runs WitnessWindow::LowerBound.
+// ns/op is per leaf visit, i.e. per 32 guards.
+struct WitnessGuardWorkload {
+  std::vector<LeafEntry<double>> entries;
+  std::vector<double> query_distances = {6.0, 4.5, 3.5};  // depths 0..2
+  double bound = 3.0;
+  int capacity = engine::kDefaultWitnessCapacity;
+
+  WitnessGuardWorkload() {
+    std::mt19937_64 rng(kSeed);
+    std::uniform_real_distribution<double> stored(0.0, 8.0);
+    for (uint64_t i = 0; i < 32; ++i) {
+      entries.push_back({0.0, i, stored(rng), {stored(rng), stored(rng)}});
+    }
+  }
+};
+
+struct ChainInterval {
+  double lo = std::numeric_limits<double>::quiet_NaN();
+  double hi = std::numeric_limits<double>::quiet_NaN();
+  bool known() const { return !std::isnan(lo) && !std::isnan(hi); }
+};
+
+struct ChainLink {
+  uint64_t ref = 0;
+  double query_distance = 0.0;
+  std::shared_ptr<const ChainLink> next;
+};
+
+template <typename StoredFn>
+double ChainLowerBound(const std::shared_ptr<const ChainLink>& chain,
+                       int capacity, StoredFn&& stored) {
+  double lb = 0.0;
+  const ChainLink* link = chain.get();
+  for (int i = 0; i < capacity && link != nullptr;
+       ++i, link = link->next.get()) {
+    const ChainInterval iv = stored(link->ref);
+    if (!iv.known()) continue;
+    if (link->query_distance - iv.hi > lb) lb = link->query_distance - iv.hi;
+    if (iv.lo - link->query_distance > lb) lb = iv.lo - link->query_distance;
+  }
+  return lb;
+}
+
+void BM_ScalarWitnessGuard(benchmark::State& state) {
+  const WitnessGuardWorkload w;
+  constexpr uint64_t kLevel = 4;
+  std::shared_ptr<const ChainLink> path;
+  for (uint64_t depth = 0; depth < w.query_distances.size(); ++depth) {
+    path = std::make_shared<const ChainLink>(
+        ChainLink{depth, w.query_distances[depth], path});
+  }
+  for (auto _ : state) {
+    const std::shared_ptr<const ChainLink> chain = path;
+    benchmark::DoNotOptimize(chain);
+    int avoided = 0;
+    for (const auto& e : w.entries) {
+      const auto stored = [&](uint64_t ref) {
+        if (ref == kLevel - 2) {
+          return ChainInterval{e.parent_distance, e.parent_distance};
+        }
+        if (ref < e.ancestor_distances.size()) {
+          return ChainInterval{e.ancestor_distances[ref],
+                               e.ancestor_distances[ref]};
+        }
+        return ChainInterval{};
+      };
+      avoided += ChainLowerBound(chain, w.capacity, stored) > w.bound;
+    }
+    benchmark::DoNotOptimize(avoided);
+  }
+}
+BENCHMARK(BM_ScalarWitnessGuard);
+
+void BM_KernelWitnessGuard(benchmark::State& state) {
+  const WitnessGuardWorkload w;
+  constexpr uint32_t kLevel = 4;
+  engine::WitnessPath path(kLevel);
+  uint32_t link = engine::WitnessPath::kNoLink;
+  for (const double d : w.query_distances) link = path.Append(link, d);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(link);
+    const engine::WitnessWindow window =
+        path.Window(link, kLevel, w.capacity);
+    int avoided = 0;
+    for (const auto& e : w.entries) {
+      avoided += window.LowerBound(e.parent_distance, e.ancestor_distances) >
+                 w.bound;
+    }
+    benchmark::DoNotOptimize(avoided);
+  }
+}
+BENCHMARK(BM_KernelWitnessGuard);
 
 // Bounded evaluation with a bound the distance usually exceeds: the win is
 // how early the partial sum crosses it (range(0) is the bound in 1/100ths

@@ -46,12 +46,11 @@ Rules (each registered as its own ctest, `lint_<rule>`):
                             metric's DistanceWithin or a query evaluator's
                             (metric/prepared.h) DistanceWithin directly;
                             prune-site evaluations go through
-                            engine/witness.h (GuardedDistanceWithin(chain,
-                            capacity, stored, eval, x, bound, st),
+                            engine/witness.h (GuardedDistanceWithin(
+                            witness_bound, eval, x, bound, st),
                             CountedDistanceWithin(eval, x, bound, st)) so
-                            the witness cascade sees every computed
-                            distance and the avoided-evaluation accounting
-                            stays exact.
+                            every witness bound is checked there and the
+                            computed/avoided accounting stays exact.
 
 A line containing `mcm-lint: allow(<rule>)` in a comment suppresses that
 rule for that line (use sparingly; prefer fixing the code).
@@ -460,8 +459,8 @@ def check_adhoc_vector_math(sf):
 # --------------------------------------------------------------------------
 
 # A bounded evaluation at a prune site that does not flow through
-# engine/witness.h never records a witness and never consults the cascade,
-# silently forking the distance accounting. That holds for a metric's
+# engine/witness.h never checks its witness bound there, silently forking
+# the distance accounting. That holds for a metric's
 # DistanceWithin(a, b, bound) and a query evaluator's DistanceWithin(x,
 # bound) alike: both match below. The lookbehind keeps the sanctioned
 # wrappers (GuardedDistanceWithin, CountedDistanceWithin) from matching on
@@ -474,10 +473,10 @@ def check_direct_prune_distance(sf):
     return _grep(
         sf, PRUNE_DISTANCE_RE,
         "direct bounded-distance call at a prune site; route it through "
-        "engine/witness.h (GuardedDistanceWithin(chain, capacity, stored, "
-        "eval, x, bound, st) or CountedDistanceWithin(eval, x, bound, st), "
-        "eval = PrepareQuery(metric, query)) so witnesses are recorded and "
-        "consulted")
+        "engine/witness.h (GuardedDistanceWithin(witness_bound, eval, x, "
+        "bound, st) or CountedDistanceWithin(eval, x, bound, st), eval = "
+        "PrepareQuery(metric, query)) so every computed or avoided "
+        "evaluation is charged exactly once")
 
 
 # --------------------------------------------------------------------------

@@ -19,7 +19,7 @@ set -eu
 SANITIZER=${1:-}
 case "${SANITIZER}" in
   thread)
-    TARGETS="engine_executor_test executor_shutdown_test buffer_pool_test bounded_metric_test node_cache_test telemetry_export_test witness_test witness_reuse_test bulk_stream_test readahead_test shard_router_test"
+    TARGETS="engine_executor_test executor_shutdown_test buffer_pool_test page_file_test bounded_metric_test node_cache_test telemetry_export_test witness_test witness_reuse_test bulk_stream_test readahead_test shard_router_test"
     ;;
   address)
     TARGETS="buffer_pool_test node_test node_store_test page_file_test mtree_insert_test mtree_delete_test persist_test check_invariants_test bounded_metric_test string_metrics_test node_cache_test phase_timer_test explain_test witness_test witness_reuse_test"

@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "mcm/common/query_stats.h"
-#include "mcm/engine/witness.h"
 #include "mcm/obs/phase.h"
 #include "mcm/obs/trace.h"
 
@@ -139,19 +138,15 @@ class KnnCollector {
 };
 
 /// One unexplored region on the driver's frontier. `Handle` is the index's
-/// node reference (M-tree: node id + query-parent distance; the in-memory
-/// trees: a node pointer); `trace_id` identifies the node in trace events
-/// (0 where the structure has no stable node ids). `witness` carries the
-/// query distances computed on the path down to this region — the driver
-/// owns the witness set, the Expand callback extends it with each new
-/// metric evaluation and consults it via GuardedDistanceWithin.
+/// node reference (M-tree: node id, query-parent distance and witness-path
+/// link; the in-memory trees: a node pointer); `trace_id` identifies the
+/// node in trace events (0 where the structure has no stable node ids).
 template <typename Handle>
 struct FrontierEntry {
   double dmin = 0.0;
   uint32_t level = 1;
   uint64_t trace_id = 0;
   Handle handle{};
-  WitnessChain witness{};
 };
 
 /// The driver's frontier: a min-heap on dmin plus the prune bookkeeping the
@@ -162,18 +157,16 @@ class Frontier {
   Frontier(Collector& collector, QueryStats* st)
       : collector_(collector), st_(st) {}
 
-  void Push(double dmin, uint32_t level, uint64_t trace_id, Handle handle,
-            WitnessChain witness = {}) {
-    heap_.push({dmin, level, trace_id, std::move(handle), std::move(witness)});
+  void Push(double dmin, uint32_t level, uint64_t trace_id, Handle handle) {
+    heap_.push({dmin, level, trace_id, std::move(handle)});
   }
 
   /// Pushes the region when its lower bound can still beat the collector's
   /// current bound; otherwise counts one pruned subtree under `reason`.
   void PushOrPrune(double dmin, uint32_t level, uint64_t trace_id,
-                   Handle handle, PruneReason reason,
-                   WitnessChain witness = {}) {
+                   Handle handle, PruneReason reason) {
     if (dmin <= collector_.Bound()) {
-      Push(dmin, level, trace_id, std::move(handle), std::move(witness));
+      Push(dmin, level, trace_id, std::move(handle));
     } else {
       ++st_->nodes_pruned;
       if (st_->trace != nullptr) {

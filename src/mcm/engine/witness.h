@@ -1,45 +1,47 @@
-// The engine's witness set: every metric evaluation a traversal performs
-// on its way down is a *witness* — a pair (reference, d(witness, Q)) that,
-// combined with a stored witness-to-object distance, yields triangle-
-// inequality bounds on d(Q, object) for free:
+// The engine's witness bounds: every routing object a traversal evaluates
+// on its way down is a *witness* — a pair (w, d(Q, w)) that, combined with
+// a stored witness-to-object distance, bounds d(Q, o) for free:
 //
-//   |d(Q, w) - d(w, o)| <= d(Q, o) <= d(Q, w) + d(w, o).
+//   |d(Q, w) - d(w, o)| <= d(Q, o).
 //
 // The Cascading Metric Tree applies exactly this cascade of bounds to cut
 // metric evaluations; the Symmetric M-tree shows the stored side (the
-// d(w, o) values) can live in the node entry layout. Here the witness set
-// is owned by the traversal driver (search_core.h threads a WitnessChain
-// through every FrontierEntry) and the M-tree supplies the stored side:
-// its entries persist distances to ancestor routing objects. The vp-tree
-// and the GNAT keep no stored side: in these main-memory trees the bound
-// checks cost more wall time than the metric evaluations they save, so
-// they run the plain search through CountedDistanceWithin.
+// d(w, o) values) can live in the node entry layout. The M-tree is the one
+// index with a stored side: its entries keep their parent distance and
+// their distances to the routing objects above the parent, indexed by
+// depth. The vp-tree, the GNAT and the scan keep none (in those trees the
+// bound checks cost more wall time than the evaluations they save) and run
+// the plain search through CountedDistanceWithin.
 //
-// Replacement policy: a traversal path accrues witnesses root-to-leaf and
-// bounds from near ancestors are the tightest (their stored distances
-// describe the smallest regions), so the chain keeps every link but
-// consults only the `capacity` most recent (deepest) ones. Capacity comes
-// from MTreeOptions::witness_capacity, else MCM_WITNESSES (default 8);
-// capacity 0 disables every witness consultation and reproduces the
-// pre-witness traversal bit-identically.
+// The query side is a WitnessPath the search owns: one link per pushed
+// child, holding d(Q, routing object) and the link of the routing object
+// above it, so a frontier region names its whole root path with one
+// index. Expanding a node loads the query distances of its `capacity`
+// nearest ancestors into a depth-indexed window once; each entry's bound
+// is then a loop of |dq[depth] - stored| over its stored distances.
+// Near ancestors describe the smallest regions, so their bounds are the
+// tightest. Capacity comes from MTreeOptions::witness_capacity, else
+// MCM_WITNESSES (default 8); capacity 0 consults nothing and reproduces
+// the plain search exactly.
 //
 // The sanctioned prune-site entry points are GuardedDistanceWithin, which
-// consults the witness bounds first, charges either one avoided or one
-// computed evaluation to QueryStats, and only then runs the (bounded)
-// evaluation, and CountedDistanceWithin for sites without a stored side.
-// Both take the query's evaluator (metric/prepared.h, via PrepareQuery,
-// built once per search) in place of (metric, query). The lint rule
-// `no-direct-prune-distance` and mcm_analyze's `accounting` rule keep
-// index prune sites on them.
+// compares the precomputed witness bound first, charges either one avoided
+// or one computed evaluation to QueryStats, and only then runs the
+// (bounded) evaluation, and CountedDistanceWithin for sites without a
+// stored side. Both take the query's evaluator (metric/prepared.h, via
+// PrepareQuery, built once per search) in place of (metric, query). The
+// lint rule `no-direct-prune-distance` and mcm_analyze's `accounting` rule
+// keep index prune sites on them.
 
 #ifndef MCM_ENGINE_WITNESS_H_
 #define MCM_ENGINE_WITNESS_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <memory>
-#include <utility>
+#include <span>
+#include <vector>
 
 #include "mcm/common/env.h"
 #include "mcm/common/query_stats.h"
@@ -64,78 +66,89 @@ inline int ResolveWitnessCapacity(int configured) {
   return static_cast<int>(v);
 }
 
-/// The stored side of one witness bound: the interval [lo, hi] known to
-/// contain d(witness, o) for the object (or every object of the region)
-/// being bounded. A point distance is the degenerate interval [d, d];
-/// Unknown() contributes nothing.
-struct WitnessInterval {
-  double lo = std::numeric_limits<double>::quiet_NaN();
-  double hi = std::numeric_limits<double>::quiet_NaN();
+/// The witness bound of a node consulting no witness (capacity 0, or the
+/// root): it proves nothing, not even against a negative search bound.
+inline constexpr double kNoWitnessBound =
+    -std::numeric_limits<double>::infinity();
 
-  static WitnessInterval Unknown() { return {}; }
-  static WitnessInterval Point(double d) { return {d, d}; }
+/// The witnesses one expanded node's entries are bounded by: the query
+/// distances dq[depth] of its `count` nearest ancestor routing objects,
+/// the nearest (the entries' parent) at depth `parent`.
+struct WitnessWindow {
+  const double* dq = nullptr;
+  uint32_t parent = 0;
+  uint32_t count = 0;
 
-  bool known() const { return !std::isnan(lo) && !std::isnan(hi); }
+  /// Best lower bound on d(Q, o) for an entry o stored at distance
+  /// `parent_distance` from its parent and `ancestors[d]` from the routing
+  /// object at depth d < parent (a shorter array leaves the deeper
+  /// ancestors unknown): max(0, |dq[d] - stored|) over the window, NaN
+  /// terms skipped. kNoWitnessBound when the window is empty. Always
+  /// inlined: it runs once per entry of every expanded node, and left out
+  /// of line it slowed even the capacity-0 search measurably.
+  [[gnu::always_inline]] double LowerBound(
+      double parent_distance, std::span<const double> ancestors) const {
+    if (count == 0) return kNoWitnessBound;
+    double lb = 0.0;
+    const double p = std::fabs(dq[parent] - parent_distance);
+    if (p > lb) lb = p;
+    const size_t end = std::min<size_t>(parent, ancestors.size());
+    for (size_t d = parent + 1 - count; d < end; ++d) {
+      // One term per ancestor depth, not per vector coordinate.
+      const double v = std::fabs(dq[d] - ancestors[d]);  // mcm-lint: allow(no-adhoc-vector-math)
+      if (v > lb) lb = v;
+    }
+    return lb;
+  }
 };
 
-/// An immutable chain of witnesses, newest (deepest ancestor) first.
-/// Extending shares structure with the parent chain, so frontier entries
-/// of sibling subtrees branch off one path cheaply and safely across the
-/// batch executor's threads (links are immutable once created).
-class WitnessChain {
+/// One search's witness path: the query distance of every routing object
+/// whose child the search pushed, each linked to the link of the routing
+/// object above it. Links are appended, never changed, and live as long as
+/// the search, so frontier regions of sibling subtrees share their prefix
+/// through the parent index. Not shared between searches or threads.
+class WitnessPath {
  public:
-  WitnessChain() = default;
+  /// The link of the root, which has no routing object.
+  static constexpr uint32_t kNoLink = std::numeric_limits<uint32_t>::max();
 
-  /// The chain with one more witness (reference `ref`, measured query
-  /// distance `query_distance`) in front. `ref` is index-defined: the
-  /// M-tree uses the ancestor depth.
-  WitnessChain Extend(uint64_t ref, double query_distance) const {
-    auto link = std::make_shared<Link>();
-    link->ref = ref;
-    link->query_distance = query_distance;
-    link->next = head_;
-    WitnessChain out;
-    out.head_ = std::move(link);
-    return out;
+  /// `height` sizes the depth-indexed window (a tree of that height needs
+  /// height - 1 depths); a deeper node grows it.
+  explicit WitnessPath(size_t height = 0) : dq_(height) {}
+
+  /// Appends d(Q, w) for a routing object w whose own parent routing
+  /// object has link `parent` (kNoLink for an entry of the root); returns
+  /// w's link.
+  uint32_t Append(uint32_t parent, double query_distance) {
+    links_.push_back({parent, query_distance});
+    return static_cast<uint32_t>(links_.size() - 1);
   }
 
-  bool Empty() const { return head_ == nullptr; }
-
-  /// Calls fn(ref, query_distance) for the `limit` newest witnesses.
-  template <typename Fn>
-  void Visit(int limit, Fn&& fn) const {
-    const Link* link = head_.get();
-    for (int i = 0; i < limit && link != nullptr; ++i, link = link->next.get()) {
-      fn(link->ref, link->query_distance);
+  /// The window of a node at `level` (root = 1) whose routing object has
+  /// link `link`: the query distances of its min(capacity, level - 1)
+  /// nearest ancestors, loaded once. Empty at the root and for capacity 0.
+  /// Valid until the next call.
+  WitnessWindow Window(uint32_t link, uint32_t level, int capacity) {
+    if (capacity <= 0 || level < 2) return {};
+    const uint32_t parent = level - 2;
+    const uint32_t count =
+        std::min(static_cast<uint32_t>(capacity), level - 1);
+    if (dq_.size() <= parent) dq_.resize(parent + 1);
+    for (uint32_t i = 0; i < count; ++i, link = links_[link].parent) {
+      dq_[parent - i] = links_[link].query_distance;
     }
+    return {dq_.data(), parent, count};
   }
 
  private:
   struct Link {
-    uint64_t ref = 0;
-    double query_distance = 0.0;
-    std::shared_ptr<const Link> next;
+    uint32_t parent;
+    double query_distance;
   };
 
-  std::shared_ptr<const Link> head_;
+  std::vector<Link> links_;
+  std::vector<double> dq_;
 };
-
-/// Best lower bound on d(Q, o) obtainable from the `capacity` newest
-/// witnesses. `stored(ref)` must return the WitnessInterval containing
-/// d(witness ref, o); Unknown() intervals are skipped. Never negative;
-/// 0 when no witness contributes.
-template <typename StoredFn>
-inline double WitnessLowerBound(const WitnessChain& chain, int capacity,
-                                StoredFn&& stored) {
-  double lb = 0.0;
-  chain.Visit(capacity, [&](uint64_t ref, double dq) {
-    const WitnessInterval iv = stored(ref);
-    if (!iv.known()) return;
-    if (dq - iv.hi > lb) lb = dq - iv.hi;
-    if (iv.lo - dq > lb) lb = iv.lo - dq;
-  });
-  return lb;
-}
 
 namespace internal {
 
@@ -149,21 +162,19 @@ concept WitnessAwareEvaluator = requires(const E& e) {
 }  // namespace internal
 
 /// The engine's guarded prune-site evaluation of d(Q, x), where `eval` is
-/// Q's evaluator (PrepareQuery). Consults the witness bounds first: when
-/// they prove d(Q, x) > bound, charges one avoided evaluation
-/// (QueryStats::distance_calcs_avoided_by_witness plus the evaluator's own
-/// ledger when it keeps one) and returns +infinity without evaluating.
-/// Otherwise charges one computed evaluation and runs the bounded
-/// protocol. With capacity 0 (or an empty chain) this is exactly the
-/// pre-witness `++distance_computations; eval.DistanceWithin(...)`
-/// sequence.
-template <typename StoredFn, typename Evaluator, typename ObjectT>
-inline double GuardedDistanceWithin(const WitnessChain& chain, int capacity,
-                                    StoredFn&& stored, const Evaluator& eval,
-                                    const ObjectT& x, double bound,
-                                    QueryStats* st) {
-  if (capacity > 0 && !chain.Empty() &&
-      WitnessLowerBound(chain, capacity, stored) > bound) {
+/// Q's evaluator (PrepareQuery) and `witness_bound` a lower bound on
+/// d(Q, x) (WitnessWindow::LowerBound). When it proves d(Q, x) > bound,
+/// charges one avoided evaluation (QueryStats::
+/// distance_calcs_avoided_by_witness plus the evaluator's own ledger when
+/// it keeps one) and returns +infinity without evaluating. Otherwise
+/// charges one computed evaluation and runs the bounded protocol. With
+/// kNoWitnessBound this is exactly the plain
+/// `++distance_computations; eval.DistanceWithin(...)` sequence.
+template <typename Evaluator, typename ObjectT>
+inline double GuardedDistanceWithin(double witness_bound,
+                                    const Evaluator& eval, const ObjectT& x,
+                                    double bound, QueryStats* st) {
+  if (witness_bound > bound) {
     ++st->distance_calcs_avoided_by_witness;
     if constexpr (internal::WitnessAwareEvaluator<Evaluator>) {
       eval.RecordAvoided();
@@ -175,10 +186,10 @@ inline double GuardedDistanceWithin(const WitnessChain& chain, int capacity,
 }
 
 /// Guarded evaluation for sites with no stored witness distances (linear
-/// scan, vp-tree and GNAT buckets, M-trees before their cascade is
-/// installed): one computed evaluation of d(Q, x) through Q's evaluator's
-/// bounded protocol. Identical accounting to the historical inline
-/// sequence, but routed through the engine so prune sites stay lintable.
+/// scan, vp-tree and GNAT buckets): one computed evaluation of d(Q, x)
+/// through Q's evaluator's bounded protocol. Identical accounting to the
+/// historical inline sequence, but routed through the engine so prune
+/// sites stay lintable.
 template <typename Evaluator, typename ObjectT>
 inline double CountedDistanceWithin(const Evaluator& eval, const ObjectT& x,
                                     double bound, QueryStats* st) {

@@ -502,10 +502,13 @@ class MTree {
   }
 
   /// The M-tree's node reference on the shared best-first frontier: the
-  /// node id plus d(Q, parent routing object) — NaN at the root — which
-  /// feeds the stored-parent-distance filter in optimized pruning mode.
+  /// node id, its routing object's link on the search's witness path
+  /// (kNoLink at the root and while no witness is consulted), and
+  /// d(Q, parent routing object) — NaN at the root — which feeds the
+  /// stored-parent-distance filter in optimized pruning mode.
   struct TraversalHandle {
     NodeId node = kInvalidNodeId;
+    uint32_t link = engine::WitnessPath::kNoLink;
     double parent_query_distance = std::numeric_limits<double>::quiet_NaN();
   };
 
@@ -519,20 +522,27 @@ class MTree {
                 PruneReason cut_reason) const {
     const bool optimized = options_.pruning == PruningMode::kOptimized;
     // Witness bounds engage only while the stored ancestor distances are
-    // valid; capacity 0 makes every guarded call collapse to the plain
-    // bounded evaluation, bit-identical to the pre-witness search.
+    // valid; capacity 0 leaves every window empty, so each guarded call is
+    // the plain bounded evaluation of the pre-witness search.
     const int wcap = cascade_installed_ ? witness_capacity_ : 0;
-    // Q's evaluator, prepared once for every distance of this search.
+    // Q's evaluator, prepared once for every distance of this search, and
+    // the search's witness path.
     const auto eval = PrepareQuery(metric_, query);
+    engine::WitnessPath path(wcap > 0 ? height_ : 0);
+    // Children that survive the ball test, in entry order — the readahead
+    // hint of each internal node. With bulk-loaded sequential layout these
+    // are contiguous page runs.
+    std::vector<NodeId> survivors;
     engine::BestFirstSearch<TraversalHandle>(
-        TraversalHandle{root_, std::numeric_limits<double>::quiet_NaN()},
-        /*root_trace_id=*/root_, collector, st,
+        TraversalHandle{root_}, /*root_trace_id=*/root_, collector, st,
         [&](const engine::FrontierEntry<TraversalHandle>& item,
             auto& frontier) {
           const auto node = store_->ReadShared(item.handle.node, st);
           ++st->nodes_accessed;
           const double pqd = item.handle.parent_query_distance;
           const bool can_prune = optimized && !std::isnan(pqd);
+          const engine::WitnessWindow window =
+              path.Window(item.handle.link, item.level, wcap);
           uint32_t scanned = 0;
           uint32_t wavoided = 0;
           if (node->is_leaf) {
@@ -546,28 +556,14 @@ class MTree {
                                      collector.Bound()) {
                   continue;
                 }
-                // Witness link `ref` is the 0-based depth of the witness
-                // routing object: the parent (depth level-2) is served
-                // from the stored parent distance, everything above it
-                // from the entry's ancestor-distance array.
-                auto stored = [&](uint64_t ref) {
-                  if (item.level >= 2 && ref == item.level - 2) {
-                    return engine::WitnessInterval::Point(e.parent_distance);
-                  }
-                  if (ref < e.ancestor_distances.size()) {
-                    return engine::WitnessInterval::Point(
-                        e.ancestor_distances[ref]);
-                  }
-                  return engine::WitnessInterval::Unknown();
-                };
                 // Early exit past the collector bound: an aborted (or
                 // witness-avoided) evaluation returns +inf, which Offer
                 // rejects exactly as it would the true distance.
                 const uint64_t avoided_before =
                     st->distance_calcs_avoided_by_witness;
                 const double d = engine::GuardedDistanceWithin(
-                    item.witness, wcap, stored, eval, e.object,
-                    collector.Bound(), st);
+                    window.LowerBound(e.parent_distance, e.ancestor_distances),
+                    eval, e.object, collector.Bound(), st);
                 if (st->distance_calcs_avoided_by_witness !=
                     avoided_before) {
                   ++wavoided;
@@ -586,10 +582,7 @@ class MTree {
             }
             return;
           }
-          // Children that survive the ball test, in entry order — the
-          // readahead hint below. With bulk-loaded sequential layout these
-          // are contiguous page runs.
-          std::vector<NodeId> survivors;
+          survivors.clear();
           {
             ScopedSpan dist_span(st, QueryPhase::kDistanceEval);
             for (const auto& e : node->routing_entries) {
@@ -603,16 +596,6 @@ class MTree {
                 }
                 continue;
               }
-              auto stored = [&](uint64_t ref) {
-                if (item.level >= 2 && ref == item.level - 2) {
-                  return engine::WitnessInterval::Point(e.parent_distance);
-                }
-                if (ref < e.ancestor_distances.size()) {
-                  return engine::WitnessInterval::Point(
-                      e.ancestor_distances[ref]);
-                }
-                return engine::WitnessInterval::Unknown();
-              };
               // A routing distance only matters when the child survives,
               // i.e. when dmin = d - r <= Bound(); beyond Bound() + r the
               // child is pruned either way, so the early exit changes
@@ -623,8 +606,8 @@ class MTree {
               const uint64_t avoided_before =
                   st->distance_calcs_avoided_by_witness;
               const double d = engine::GuardedDistanceWithin(
-                  item.witness, wcap, stored, eval, e.object,
-                  collector.Bound() + e.covering_radius, st);
+                  window.LowerBound(e.parent_distance, e.ancestor_distances),
+                  eval, e.object, collector.Bound() + e.covering_radius, st);
               if (st->distance_calcs_avoided_by_witness != avoided_before) {
                 ++wavoided;
                 ++st->nodes_pruned;
@@ -636,14 +619,15 @@ class MTree {
               }
               ++scanned;
               const double dmin = std::max(d - e.covering_radius, 0.0);
+              // Only a child that is pushed extends the witness path.
+              uint32_t link = engine::WitnessPath::kNoLink;
               if (dmin <= collector.Bound()) {
                 survivors.push_back(e.child);
+                if (wcap > 0) link = path.Append(item.handle.link, d);
               }
-              frontier.PushOrPrune(
-                  dmin, item.level + 1, e.child, TraversalHandle{e.child, d},
-                  cut_reason,
-                  wcap > 0 ? item.witness.Extend(item.level - 1, d)
-                           : engine::WitnessChain{});
+              frontier.PushOrPrune(dmin, item.level + 1, e.child,
+                                   TraversalHandle{e.child, link, d},
+                                   cut_reason);
             }
           }
           // Readahead: the surviving children will all be expanded (range

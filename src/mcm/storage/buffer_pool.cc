@@ -239,6 +239,12 @@ void BufferPool::RetireFrame(Shard& shard, Frame& frame) {
 }
 
 void BufferPool::PublishPrefetchObs() {
+  // Every Fetch calls this: load before exchanging, so the common empty
+  // backlog (always, with MCM_OBS off) costs no write to a shared line.
+  if (pending_obs_used_.load(std::memory_order_relaxed) == 0 &&
+      pending_obs_wasted_.load(std::memory_order_relaxed) == 0) {
+    return;
+  }
   const uint64_t used =
       pending_obs_used_.exchange(0, std::memory_order_relaxed);
   const uint64_t wasted =

@@ -39,42 +39,26 @@ void PageFile::Free(PageId id) {
   free_list_.push_back(id);
 }
 
-void PageFile::ReadPage(PageId id, uint8_t* out) {
-  MutexLock lock(&mu_);
-  CheckId(id);
-  ++stats_.reads;
-  ++stats_.read_pages;
-  if (ObsEnabled()) {
-    const uint64_t start_ns = MonotonicNanos();
-    DoRead(id, out);
-    stats_.read_ns += MonotonicNanos() - start_ns;
-    return;
-  }
-  DoRead(id, out);
-}
-
 void PageFile::ReadRun(PageId first, size_t count, uint8_t* out) {
   if (count == 0) {
     return;
   }
-  MutexLock lock(&mu_);
-  CheckId(first);
-  CheckId(first + static_cast<PageId>(count) - 1);
-  ++stats_.reads;
-  stats_.read_pages += count;
-  if (ObsEnabled()) {
-    const uint64_t start_ns = MonotonicNanos();
+  {
+    MutexLock lock(&mu_);
+    CheckId(first);
+    CheckId(first + static_cast<PageId>(count) - 1);
+    ++stats_.reads;
+    stats_.read_pages += count;
+  }
+  if (!ObsEnabled()) {
     DoReadRun(first, count, out);
-    stats_.read_ns += MonotonicNanos() - start_ns;
     return;
   }
+  const uint64_t start_ns = MonotonicNanos();
   DoReadRun(first, count, out);
-}
-
-void PageFile::DoReadRun(PageId first, size_t count, uint8_t* out) {
-  for (size_t i = 0; i < count; ++i) {
-    DoRead(first + static_cast<PageId>(i), out + i * page_size_);
-  }
+  const uint64_t elapsed_ns = MonotonicNanos() - start_ns;
+  MutexLock lock(&mu_);
+  stats_.read_ns += elapsed_ns;
 }
 
 void PageFile::WritePage(PageId id, const uint8_t* data) {
@@ -92,11 +76,6 @@ void PageFile::CheckId(PageId id) const {
 
 InMemoryPageFile::InMemoryPageFile(size_t page_size) : PageFile(page_size) {}
 
-void InMemoryPageFile::DoRead(PageId id, uint8_t* out) {
-  std::memcpy(out, data_.data() + static_cast<size_t>(id) * page_size_,
-              page_size_);
-}
-
 void InMemoryPageFile::DoWrite(PageId id, const uint8_t* data) {
   std::memcpy(data_.data() + static_cast<size_t>(id) * page_size_, data,
               page_size_);
@@ -107,6 +86,7 @@ void InMemoryPageFile::DoExtend(size_t new_num_pages) {
 }
 
 void InMemoryPageFile::DoReadRun(PageId first, size_t count, uint8_t* out) {
+  MutexLock lock(&mu_);
   std::memcpy(out, data_.data() + static_cast<size_t>(first) * page_size_,
               count * page_size_);
 }
@@ -177,10 +157,6 @@ StdioPageFile::StdioPageFile(const std::string& path, size_t page_size,
 }
 
 StdioPageFile::~StdioPageFile() { ::close(fd_); }
-
-void StdioPageFile::DoRead(PageId id, uint8_t* out) {
-  ReadFully(fd_, out, page_size_, PageOffset(id, page_size_));
-}
 
 void StdioPageFile::DoWrite(PageId id, const uint8_t* data) {
   WriteFully(fd_, data, page_size_, PageOffset(id, page_size_));

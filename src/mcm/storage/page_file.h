@@ -41,12 +41,17 @@ struct PageFileStats {
 /// Abstract store of fixed-size pages.
 ///
 /// Implementations must support random reads and writes of whole pages.
-/// Freed pages are recycled by subsequent allocations. All public
-/// operations are serialized on an internal mutex, so a PageFile can back
-/// a sharded BufferPool whose shards read through it concurrently. The
-/// lock guards the counters, the free list and the page count, which a
-/// concurrent Allocate grows (StdioPageFile's positional reads share no
-/// seek position, but a read must still see a page count that covers it).
+/// Freed pages are recycled by subsequent allocations. Every public
+/// operation is safe to call concurrently, so a PageFile can back a
+/// sharded BufferPool whose shards read through it concurrently. An
+/// internal mutex guards the counters, the free list and the page count,
+/// which a concurrent Allocate grows: a read range-checks and counts under
+/// it, then transfers through DoReadRun, which takes the lock only when
+/// its backend needs it (StdioPageFile's positional reads share no seek
+/// position and run outside it). Pages never shrink or move, so a checked
+/// page stays readable. As with any file, a read racing a write of the
+/// same page may see parts of both: a caller that writes pages while
+/// others read them serializes the two itself.
 class PageFile {
  public:
   explicit PageFile(size_t page_size);
@@ -61,12 +66,15 @@ class PageFile {
   /// Returns a previously allocated page to the free list.
   void Free(PageId id) MCM_EXCLUDES(mu_);
 
-  /// Reads page `id` into `out` (must hold page_size() bytes).
+  /// Reads page `id` into `out` (must hold page_size() bytes): ReadRun of
+  /// one page.
   ///
   /// Only the BufferPool (and storage tests) may call this directly: every
   /// index page access must flow through a pool so logical I/O counts stay
   /// exact (enforced by the `no-pagefile-bypass` lint rule).
-  void ReadPage(PageId id, uint8_t* out) MCM_EXCLUDES(mu_);
+  void ReadPage(PageId id, uint8_t* out) MCM_EXCLUDES(mu_) {
+    ReadRun(id, 1, out);
+  }
 
   /// Reads `count` consecutive pages starting at `first` into `out` (which
   /// must hold count * page_size() bytes) as ONE physical read operation:
@@ -101,17 +109,17 @@ class PageFile {
   }
 
  protected:
-  virtual void DoRead(PageId id, uint8_t* out) MCM_REQUIRES(mu_) = 0;
+  /// Transfers `count` range-checked pages starting at `first` into `out`.
+  /// Called without mu_: a backend whose storage moves under Allocate
+  /// takes the lock itself.
+  virtual void DoReadRun(PageId first, size_t count, uint8_t* out)
+      MCM_EXCLUDES(mu_) = 0;
   virtual void DoWrite(PageId id, const uint8_t* data) MCM_REQUIRES(mu_) = 0;
   virtual void DoExtend(size_t new_num_pages) MCM_REQUIRES(mu_) = 0;
-  /// Services a run read; the default loops DoRead per page, backends with
-  /// cheap sequential access override it with a single transfer.
-  virtual void DoReadRun(PageId first, size_t count, uint8_t* out)
-      MCM_REQUIRES(mu_);
 
   void CheckId(PageId id) const MCM_REQUIRES(mu_);
 
-  mutable Mutex mu_;  ///< Serializes every public operation.
+  mutable Mutex mu_;  ///< Guards the counters, free list and page count.
   size_t page_size_;  ///< Immutable after construction.
   size_t num_pages_ MCM_GUARDED_BY(mu_) = 0;
   std::vector<PageId> free_list_ MCM_GUARDED_BY(mu_);
@@ -120,17 +128,17 @@ class PageFile {
 
 /// Page store backed by heap memory. This is the default store for
 /// experiments: node accesses are still counted logically through the
-/// buffer pool, without paying real disk latency.
+/// buffer pool, without paying real disk latency. Reads copy under mu_,
+/// because Allocate resizes (and may move) the backing vector.
 class InMemoryPageFile : public PageFile {
  public:
   explicit InMemoryPageFile(size_t page_size);
 
  protected:
-  void DoRead(PageId id, uint8_t* out) MCM_REQUIRES(mu_) override;
+  void DoReadRun(PageId first, size_t count, uint8_t* out)
+      MCM_EXCLUDES(mu_) override;
   void DoWrite(PageId id, const uint8_t* data) MCM_REQUIRES(mu_) override;
   void DoExtend(size_t new_num_pages) MCM_REQUIRES(mu_) override;
-  void DoReadRun(PageId first, size_t count, uint8_t* out)
-      MCM_REQUIRES(mu_) override;
 
  private:
   std::vector<uint8_t> data_ MCM_GUARDED_BY(mu_);
@@ -161,14 +169,15 @@ class StdioPageFile : public PageFile {
   ~StdioPageFile() override;
 
  protected:
-  void DoRead(PageId id, uint8_t* out) MCM_REQUIRES(mu_) override;
+  void DoReadRun(PageId first, size_t count, uint8_t* out)
+      MCM_EXCLUDES(mu_) override;
   void DoWrite(PageId id, const uint8_t* data) MCM_REQUIRES(mu_) override;
   void DoExtend(size_t new_num_pages) MCM_REQUIRES(mu_) override;
-  void DoReadRun(PageId first, size_t count, uint8_t* out)
-      MCM_REQUIRES(mu_) override;
 
  private:
-  int fd_ = -1;  ///< Open for the object's lifetime; I/O happens under mu_.
+  /// Open for the object's lifetime. Reads use it outside mu_; writes and
+  /// extensions happen under mu_.
+  int fd_ = -1;
 };
 
 }  // namespace mcm

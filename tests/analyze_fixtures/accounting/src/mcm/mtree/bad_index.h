@@ -14,7 +14,8 @@ class BadIndex {
   // evaluation to nobody.
   bool PruneUncharged(const Obj& a, const Obj& b, double r) {
     const auto eval = PrepareQuery(metric_, a);
-    return GuardedDistanceWithin(chain_, 8, stored_, eval, b, r, nullptr);
+    return GuardedDistanceWithin(window_.LowerBound(0.0, {}), eval, b, r,
+                                 nullptr);
   }
 
   // PLANT 3: two direct metric evaluations, only one ledger tick.
@@ -47,6 +48,20 @@ class BadIndex {
     return evals[0](x) + evals[1](x);
   }
 
+  // PLANT 7: a witness bound checked by hand, then a direct evaluator
+  // DistanceWithin: the avoided/computed split bypasses the sanctioned
+  // GuardedDistanceWithin(witness_bound, eval, x, bound, st).
+  double HandRolledGuard(const Obj& q, const Obj& x, double r,
+                         QueryStats* st) {
+    const auto eval = PrepareQuery(metric_, q);
+    if (window_.LowerBound(0.0, {}) > r) {
+      ++st->distance_calcs_avoided_by_witness;
+      return r + 1.0;
+    }
+    ++st->distance_computations;
+    return eval.DistanceWithin(x, r);
+  }
+
   // Clean: a typed evaluator, one evaluation, one tick; and an evaluator
   // handed to a sanctioned entry point, which charges it.
   double BalancedEvaluator(const QueryEvaluator<Metric, Obj>& eval,
@@ -62,8 +77,7 @@ class BadIndex {
 
  private:
   Metric metric_;
-  WitnessChain chain_;
-  StoredFn stored_;
+  WitnessWindow window_;
 };
 
 // PLANT 4: a shadow definition of a sanctioned entry point outside

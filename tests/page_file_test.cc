@@ -1,11 +1,13 @@
 #include "mcm/storage/page_file.h"
 
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -132,6 +134,62 @@ TEST_P(PageFileTest, ReadRunMatchesPageReads) {
         file->ReadRun(7, 2, run.data());
       },
       std::out_of_range);
+}
+
+// Reads run outside the file's lock (StdioPageFile) or copy under it
+// (InMemoryPageFile, whose vector Allocate may move): either way four
+// readers racing a fifth thread that grows the file get every byte back
+// and every operation counted once.
+TEST_P(PageFileTest, ConcurrentReadsWhileAllocating) {
+  constexpr size_t kPage = 64;
+  constexpr size_t kPages = 32;
+  constexpr size_t kRun = 4;
+  constexpr int kReaders = 4;
+  constexpr int kRounds = 300;
+  constexpr int kAllocations = 200;
+  auto file = Make(kPage);
+  std::vector<uint8_t> expected(kPages * kPage);
+  for (size_t p = 0; p < kPages; ++p) {
+    const PageId id = file->Allocate();
+    for (size_t b = 0; b < kPage; ++b) {
+      expected[p * kPage + b] = static_cast<uint8_t>(p * 7 + b);
+    }
+    file->WritePage(id, expected.data() + p * kPage);
+  }
+  file->ResetStats();
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kReaders; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<uint8_t> buf(kRun * kPage);
+      for (int r = 0; r < kRounds; ++r) {
+        const auto id = static_cast<PageId>((t * 5 + r) % kPages);
+        file->ReadPage(id, buf.data());
+        if (std::memcmp(buf.data(), expected.data() + id * kPage, kPage) !=
+            0) {
+          ++mismatches;
+        }
+        const auto first = static_cast<PageId>((t + r) % (kPages - kRun));
+        file->ReadRun(first, kRun, buf.data());
+        if (std::memcmp(buf.data(), expected.data() + first * kPage,
+                        kRun * kPage) != 0) {
+          ++mismatches;
+        }
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    for (int i = 0; i < kAllocations; ++i) file->Allocate();
+  });
+  for (auto& thread : threads) thread.join();
+
+  EXPECT_EQ(mismatches.load(), 0);
+  const PageFileStats stats = file->stats();
+  EXPECT_EQ(stats.reads, 2u * kReaders * kRounds);
+  EXPECT_EQ(stats.read_pages, (1 + kRun) * kReaders * kRounds);
+  EXPECT_EQ(stats.allocations, static_cast<uint64_t>(kAllocations));
+  EXPECT_EQ(file->num_pages(), kPages + kAllocations);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, PageFileTest,

@@ -1,15 +1,21 @@
-// Unit tests for the engine's witness set (engine/witness.h): capacity
-// resolution, chain structure and sharing, triangle-inequality lower
-// bounds, and the two sanctioned prune-site entry points, which evaluate
-// through the query's evaluator (metric/prepared.h).
+// Unit tests for the engine's witness bounds (engine/witness.h): capacity
+// resolution, the per-search witness path and its windows, triangle-
+// inequality lower bounds, and the two sanctioned prune-site entry points,
+// which evaluate through the query's evaluator (metric/prepared.h). A
+// property test holds the path against a local copy of the refcounted
+// chain it replaced.
 
 #include "mcm/engine/witness.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <memory>
+#include <random>
 #include <vector>
 
 namespace mcm {
@@ -17,10 +23,13 @@ namespace {
 
 using engine::CountedDistanceWithin;
 using engine::GuardedDistanceWithin;
+using engine::kNoWitnessBound;
 using engine::ResolveWitnessCapacity;
-using engine::WitnessChain;
-using engine::WitnessInterval;
-using engine::WitnessLowerBound;
+using engine::WitnessPath;
+using engine::WitnessWindow;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 // Metric over doubles that counts evaluations; DistanceWithin- and
 // Prepare-free, so its evaluator forwards to the plain call.
@@ -49,6 +58,15 @@ struct LedgeredMetric {
 // query, so it is a named object, not a temporary.
 const double kQuery = 1.0;
 
+// Appends links with query distances dq[0], dq[1], ... (depths 0, 1, ...)
+// below the root and returns the deepest one: the link of the routing
+// object of a node at level dq.size() + 1.
+uint32_t AppendPath(WitnessPath* path, const std::vector<double>& dq) {
+  uint32_t link = WitnessPath::kNoLink;
+  for (const double d : dq) link = path->Append(link, d);
+  return link;
+}
+
 TEST(ResolveWitnessCapacityTest, ConfiguredValueWins) {
   EXPECT_EQ(ResolveWitnessCapacity(0), 0);
   EXPECT_EQ(ResolveWitnessCapacity(3), 3);
@@ -67,114 +85,96 @@ TEST(ResolveWitnessCapacityTest, MinusOneDefersToEnvironment) {
   unsetenv("MCM_WITNESSES");
 }
 
-TEST(WitnessIntervalTest, UnknownAndPoint) {
-  EXPECT_FALSE(WitnessInterval::Unknown().known());
-  const WitnessInterval p = WitnessInterval::Point(2.5);
-  EXPECT_TRUE(p.known());
-  EXPECT_EQ(p.lo, 2.5);
-  EXPECT_EQ(p.hi, 2.5);
+TEST(WitnessPathTest, WindowLoadsTheNearestAncestorsByDepth) {
+  WitnessPath path(4);
+  const uint32_t link = AppendPath(&path, {10.0, 20.0, 30.0});  // level 4
+  const WitnessWindow all = path.Window(link, 4, 8);
+  ASSERT_EQ(all.count, 3u);
+  EXPECT_EQ(all.parent, 2u);
+  EXPECT_EQ(all.dq[0], 10.0);
+  EXPECT_EQ(all.dq[1], 20.0);
+  EXPECT_EQ(all.dq[2], 30.0);
+
+  const WitnessWindow two = path.Window(link, 4, 2);
+  EXPECT_EQ(two.count, 2u);
+  EXPECT_EQ(two.dq[1], 20.0);
+  EXPECT_EQ(two.dq[2], 30.0);
 }
 
-TEST(WitnessChainTest, ExtendIsNewestFirstAndLimited) {
-  WitnessChain chain;
-  EXPECT_TRUE(chain.Empty());
-  chain = chain.Extend(1, 10.0);
-  chain = chain.Extend(2, 20.0);
-  chain = chain.Extend(3, 30.0);
-  EXPECT_FALSE(chain.Empty());
+TEST(WitnessPathTest, BranchesShareThePrefix) {
+  WitnessPath path;  // unsized: the window grows on demand
+  const uint32_t root = path.Append(WitnessPath::kNoLink, 1.0);
+  const uint32_t left = path.Append(root, 2.0);
+  const uint32_t right = path.Append(root, 3.0);
 
-  std::vector<uint64_t> refs;
-  chain.Visit(2, [&](uint64_t ref, double) { refs.push_back(ref); });
-  EXPECT_EQ(refs, (std::vector<uint64_t>{3, 2}));
-
-  refs.clear();
-  chain.Visit(100, [&](uint64_t ref, double) { refs.push_back(ref); });
-  EXPECT_EQ(refs, (std::vector<uint64_t>{3, 2, 1}));
+  const WitnessWindow l = path.Window(left, 3, 8);
+  EXPECT_EQ(l.dq[0], 1.0);
+  EXPECT_EQ(l.dq[1], 2.0);
+  const WitnessWindow r = path.Window(right, 3, 8);
+  EXPECT_EQ(r.dq[0], 1.0);
+  EXPECT_EQ(r.dq[1], 3.0);
 }
 
-TEST(WitnessChainTest, BranchesShareThePrefix) {
-  WitnessChain root;
-  root = root.Extend(0, 1.0);
-  const WitnessChain left = root.Extend(1, 2.0);
-  const WitnessChain right = root.Extend(2, 3.0);
-
-  std::vector<uint64_t> refs;
-  left.Visit(10, [&](uint64_t ref, double) { refs.push_back(ref); });
-  EXPECT_EQ(refs, (std::vector<uint64_t>{1, 0}));
-  refs.clear();
-  right.Visit(10, [&](uint64_t ref, double) { refs.push_back(ref); });
-  EXPECT_EQ(refs, (std::vector<uint64_t>{2, 0}));
+TEST(WitnessPathTest, RootAndCapacityZeroConsultNothing) {
+  WitnessPath path(2);
+  const uint32_t link = path.Append(WitnessPath::kNoLink, 100.0);
+  EXPECT_EQ(path.Window(WitnessPath::kNoLink, 1, 8).count, 0u);
+  const WitnessWindow none = path.Window(link, 2, 0);
+  EXPECT_EQ(none.count, 0u);
+  EXPECT_EQ(none.LowerBound(0.0, {}), kNoWitnessBound);
 }
 
 TEST(WitnessLowerBoundTest, TriangleBoundsFromPointDistances) {
-  // Witness 7 at d(Q, w) = 5; stored d(w, o) = 1 -> lb = 4.
-  WitnessChain chain;
-  chain = chain.Extend(7, 5.0);
-  const double lb = WitnessLowerBound(chain, 8, [](uint64_t ref) {
-    EXPECT_EQ(ref, 7u);
-    return WitnessInterval::Point(1.0);
-  });
-  EXPECT_DOUBLE_EQ(lb, 4.0);
-
-  // The bound is symmetric: stored 9 with d(Q, w) = 5 also gives 4.
-  const double lb2 = WitnessLowerBound(
-      chain, 8, [](uint64_t) { return WitnessInterval::Point(9.0); });
-  EXPECT_DOUBLE_EQ(lb2, 4.0);
+  // d(Q, parent) = 5; stored d(parent, o) = 1 -> lb = 4. The bound is
+  // symmetric: stored 9 with d(Q, parent) = 5 also gives 4.
+  WitnessPath path;
+  const uint32_t link = path.Append(WitnessPath::kNoLink, 5.0);
+  const WitnessWindow w = path.Window(link, 2, 8);
+  EXPECT_DOUBLE_EQ(w.LowerBound(1.0, {}), 4.0);
+  EXPECT_DOUBLE_EQ(w.LowerBound(9.0, {}), 4.0);
 }
 
 TEST(WitnessLowerBoundTest, TakesTheBestWitnessAndSkipsUnknown) {
-  WitnessChain chain;
-  chain = chain.Extend(0, 10.0);  // stored 2 -> lb 8
-  chain = chain.Extend(1, 4.0);   // unknown -> skipped
-  chain = chain.Extend(2, 3.0);   // stored 2 -> lb 1
-  const auto stored = [](uint64_t ref) {
-    return ref == 1 ? WitnessInterval::Unknown() : WitnessInterval::Point(2.0);
-  };
-  EXPECT_DOUBLE_EQ(WitnessLowerBound(chain, 8, stored), 8.0);
-  // Capacity 2 sees only the two newest witnesses (refs 2 and 1).
-  EXPECT_DOUBLE_EQ(WitnessLowerBound(chain, 2, stored), 1.0);
-  // Intervals weaken the bound: d(w, o) in [0, 9] around d(Q, w)=10 -> 1.
-  EXPECT_DOUBLE_EQ(
-      WitnessLowerBound(chain, 8,
-                        [](uint64_t) {
-                          return WitnessInterval{0.0, 9.0};
-                        }),
-      1.0);
+  WitnessPath path;
+  const uint32_t link = AppendPath(&path, {10.0, 4.0, 3.0});  // level 4
+  const std::vector<double> ancestors = {2.0, kNaN};  // depth 1 unknown
+  // Depth 0: |10 - 2| = 8; depth 1: NaN, skipped; parent: |3 - 2| = 1.
+  EXPECT_DOUBLE_EQ(path.Window(link, 4, 8).LowerBound(2.0, ancestors), 8.0);
+  // Capacity 2 sees only depths 2 and 1.
+  EXPECT_DOUBLE_EQ(path.Window(link, 4, 2).LowerBound(2.0, ancestors), 1.0);
+  // A shorter array leaves the deeper ancestors unknown.
+  EXPECT_DOUBLE_EQ(path.Window(link, 4, 8).LowerBound(2.0, {}), 1.0);
 }
 
 TEST(WitnessLowerBoundTest, NeverNegative) {
-  WitnessChain chain;
-  chain = chain.Extend(0, 1.0);
-  EXPECT_DOUBLE_EQ(WitnessLowerBound(
-                       chain, 8,
-                       [](uint64_t) { return WitnessInterval::Point(1.0); }),
-                   0.0);
+  WitnessPath path;
+  const uint32_t link = path.Append(WitnessPath::kNoLink, 1.0);
+  EXPECT_DOUBLE_EQ(path.Window(link, 2, 8).LowerBound(1.0, {}), 0.0);
 }
 
 TEST(GuardedDistanceWithinTest, CapacityZeroAlwaysComputes) {
   AbsMetric metric;
   QueryStats st;
-  WitnessChain chain;
-  chain = chain.Extend(0, 100.0);  // would prove d > bound if consulted
-  const auto stored = [](uint64_t) { return WitnessInterval::Point(0.0); };
-  const double d =
-      GuardedDistanceWithin(chain, 0, stored, PrepareQuery(metric, kQuery),
-                            2.0, 10.0, &st);
-  EXPECT_DOUBLE_EQ(d, 1.0);
-  EXPECT_EQ(metric.calls, 1);
-  EXPECT_EQ(st.distance_computations, 1u);
+  WitnessPath path;
+  // Would prove d > bound if consulted.
+  const uint32_t link = path.Append(WitnessPath::kNoLink, 100.0);
+  const double lb = path.Window(link, 2, 0).LowerBound(0.0, {});
+  EXPECT_EQ(lb, kNoWitnessBound);
+  const auto eval = PrepareQuery(metric, kQuery);
+  EXPECT_DOUBLE_EQ(GuardedDistanceWithin(lb, eval, 2.0, 10.0, &st), 1.0);
+  // Not even a negative bound is proven: the plain search computes.
+  GuardedDistanceWithin(lb, eval, 2.0, -1.0, &st);
+  GuardedDistanceWithin(lb, eval, 2.0, -kInf, &st);
+  EXPECT_EQ(metric.calls, 3);
+  EXPECT_EQ(st.distance_computations, 3u);
   EXPECT_EQ(st.distance_calcs_avoided_by_witness, 0u);
 }
 
 TEST(GuardedDistanceWithinTest, AvoidsWhenWitnessProvesOutOfRange) {
   AbsMetric metric;
   QueryStats st;
-  WitnessChain chain;
-  chain = chain.Extend(0, 100.0);  // lb = 100 > bound = 10
-  const auto stored = [](uint64_t) { return WitnessInterval::Point(0.0); };
-  const double d =
-      GuardedDistanceWithin(chain, 8, stored, PrepareQuery(metric, kQuery),
-                            2.0, 10.0, &st);
+  const double d = GuardedDistanceWithin(
+      100.0, PrepareQuery(metric, kQuery), 2.0, 10.0, &st);
   EXPECT_TRUE(std::isinf(d));
   EXPECT_EQ(metric.calls, 0);
   EXPECT_EQ(st.distance_computations, 0u);
@@ -184,12 +184,8 @@ TEST(GuardedDistanceWithinTest, AvoidsWhenWitnessProvesOutOfRange) {
 TEST(GuardedDistanceWithinTest, ComputesWhenWitnessesAreInconclusive) {
   AbsMetric metric;
   QueryStats st;
-  WitnessChain chain;
-  chain = chain.Extend(0, 5.0);  // lb = 0 with stored = 5
-  const auto stored = [](uint64_t) { return WitnessInterval::Point(5.0); };
-  const double d =
-      GuardedDistanceWithin(chain, 8, stored, PrepareQuery(metric, kQuery),
-                            4.0, 10.0, &st);
+  const double d = GuardedDistanceWithin(
+      0.0, PrepareQuery(metric, kQuery), 4.0, 10.0, &st);
   EXPECT_DOUBLE_EQ(d, 3.0);
   EXPECT_EQ(metric.calls, 1);
   EXPECT_EQ(st.distance_computations, 1u);
@@ -199,11 +195,7 @@ TEST(GuardedDistanceWithinTest, ComputesWhenWitnessesAreInconclusive) {
 TEST(GuardedDistanceWithinTest, NotifiesWitnessAwareMetrics) {
   LedgeredMetric metric;
   QueryStats st;
-  WitnessChain chain;
-  chain = chain.Extend(0, 100.0);
-  const auto stored = [](uint64_t) { return WitnessInterval::Point(0.0); };
-  GuardedDistanceWithin(chain, 8, stored, PrepareQuery(metric, kQuery), 2.0,
-                        10.0, &st);
+  GuardedDistanceWithin(100.0, PrepareQuery(metric, kQuery), 2.0, 10.0, &st);
   EXPECT_EQ(metric.avoided, 1);
   EXPECT_EQ(metric.calls, 0);
 }
@@ -218,6 +210,155 @@ TEST(CountedDistanceWithinTest, ChargesExactlyOneComputation) {
   EXPECT_EQ(metric.calls, 1);
   EXPECT_EQ(st.distance_computations, 1u);
   EXPECT_EQ(st.distance_calcs_avoided_by_witness, 0u);
+}
+
+// The witness set the path replaced: an immutable, refcounted chain of
+// (depth, d(Q, w)) links, newest first, bounded through a stored(depth)
+// callback returning [lo, hi] intervals (NaN = unknown), and the guard
+// that consulted it only with capacity > 0 and a non-empty chain.
+struct ChainInterval {
+  double lo = kNaN;
+  double hi = kNaN;
+  bool known() const { return !std::isnan(lo) && !std::isnan(hi); }
+};
+
+struct ChainLink {
+  uint64_t ref = 0;
+  double query_distance = 0.0;
+  std::shared_ptr<const ChainLink> next;
+};
+
+using Chain = std::shared_ptr<const ChainLink>;
+
+template <typename StoredFn>
+double ChainLowerBound(const Chain& chain, int capacity, StoredFn&& stored) {
+  double lb = 0.0;
+  const ChainLink* link = chain.get();
+  for (int i = 0; i < capacity && link != nullptr;
+       ++i, link = link->next.get()) {
+    const ChainInterval iv = stored(link->ref);
+    if (!iv.known()) continue;
+    if (link->query_distance - iv.hi > lb) lb = link->query_distance - iv.hi;
+    if (iv.lo - link->query_distance > lb) lb = iv.lo - link->query_distance;
+  }
+  return lb;
+}
+
+// A distance drawn to hit the awkward cases: ties with the query
+// distances, zeros, infinities and NaN.
+double AwkwardDistance(std::mt19937_64& rng, const std::vector<double>& dq) {
+  switch (std::uniform_int_distribution<int>(0, 9)(rng)) {
+    case 0:
+      return kNaN;
+    case 1:
+      return kInf;
+    case 2:
+      return 0.0;
+    case 3:
+      if (!dq.empty()) {
+        return dq[std::uniform_int_distribution<size_t>(0, dq.size() - 1)(
+            rng)];
+      }
+      return 1.0;
+    default:
+      return std::uniform_real_distribution<double>(0.0, 8.0)(rng);
+  }
+}
+
+double AwkwardBound(std::mt19937_64& rng) {
+  switch (std::uniform_int_distribution<int>(0, 7)(rng)) {
+    case 0:
+      return kInf;
+    case 1:
+      return -kInf;
+    case 2:
+      return kNaN;
+    case 3:
+      return 0.0;
+    case 4:
+      return -1.0;
+    default:
+      return std::uniform_real_distribution<double>(0.0, 8.0)(rng);
+  }
+}
+
+TEST(WitnessPathProperty, MatchesTheRefcountedChainBitForBit) {
+  std::mt19937_64 rng(20260420);
+  const std::vector<int> capacities = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1024};
+  int consulted = 0;
+  int avoided = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    // A node at `level` (root = 1) below a path of level - 1 routing
+    // objects at depths 0..level-2, with decoy siblings appended between
+    // them, as a best-first search interleaves branches.
+    const auto level =
+        static_cast<uint32_t>(std::uniform_int_distribution<int>(1, 13)(rng));
+    std::vector<double> dq;
+    WitnessPath path(std::uniform_int_distribution<size_t>(0, 13)(rng));
+    Chain chain;
+    uint32_t link = WitnessPath::kNoLink;
+    for (uint32_t depth = 0; depth + 1 < level; ++depth) {
+      const double d = AwkwardDistance(rng, dq);
+      for (int k = std::uniform_int_distribution<int>(0, 2)(rng); k > 0; --k) {
+        path.Append(link, AwkwardDistance(rng, dq));
+      }
+      dq.push_back(d);
+      link = path.Append(link, d);
+      chain = std::make_shared<const ChainLink>(ChainLink{depth, d, chain});
+    }
+    // The entry's stored side: its parent distance and an ancestor array
+    // of any length up to the path's (entries at and past the parent's
+    // depth are never read).
+    const double parent_distance = AwkwardDistance(rng, dq);
+    std::vector<double> ancestors(
+        std::uniform_int_distribution<size_t>(0, dq.size())(rng));
+    for (double& a : ancestors) a = AwkwardDistance(rng, dq);
+    const auto stored = [&](uint64_t ref) {
+      if (level >= 2 && ref == level - 2) {
+        return ChainInterval{parent_distance, parent_distance};
+      }
+      if (ref < ancestors.size()) {
+        return ChainInterval{ancestors[ref], ancestors[ref]};
+      }
+      return ChainInterval{};
+    };
+
+    // Where the chain's guard consulted a bound (capacity > 0, below the
+    // root) the bounds match bit for bit; elsewhere the window reports
+    // kNoWitnessBound, which never avoids, as that guard never did.
+    for (const int capacity : capacities) {
+      const double bound = AwkwardBound(rng);
+      const bool chain_consulted = capacity > 0 && chain != nullptr;
+      const double chain_lb = ChainLowerBound(chain, capacity, stored);
+      const bool chain_avoids = chain_consulted && chain_lb > bound;
+
+      const double lb =
+          path.Window(link, level, capacity).LowerBound(parent_distance,
+                                                        ancestors);
+      if (chain_consulted) {
+        ++consulted;
+        ASSERT_EQ(std::bit_cast<uint64_t>(lb),
+                  std::bit_cast<uint64_t>(chain_lb))
+            << "trial " << trial << " level " << level << " capacity "
+            << capacity << ": " << lb << " vs " << chain_lb;
+      } else {
+        ASSERT_EQ(lb, kNoWitnessBound);
+      }
+
+      AbsMetric metric;
+      QueryStats st;
+      GuardedDistanceWithin(lb, PrepareQuery(metric, kQuery), 2.0, bound, &st);
+      ASSERT_EQ(st.distance_calcs_avoided_by_witness, chain_avoids ? 1u : 0u)
+          << "trial " << trial << " capacity " << capacity << " bound "
+          << bound;
+      ASSERT_EQ(st.distance_computations, chain_avoids ? 0u : 1u);
+      ASSERT_EQ(metric.calls, chain_avoids ? 0 : 1);
+      avoided += chain_avoids;
+    }
+  }
+  // The draw exercised both outcomes.
+  EXPECT_GT(consulted, 10000);
+  EXPECT_GT(avoided, 1000);
 }
 
 }  // namespace

@@ -28,8 +28,8 @@
 //
 //   accounting  Index code (mtree/vptree/gnat/baseline) computes distances
 //               only through the engine's sanctioned entry points
-//               (GuardedDistanceWithin(chain, capacity, stored, eval, x,
-//               bound, st) / CountedDistanceWithin(eval, x, bound, st),
+//               (GuardedDistanceWithin(witness_bound, eval, x, bound,
+//               st) / CountedDistanceWithin(eval, x, bound, st),
 //               defined in engine/witness.h and nowhere else), never
 //               passes a null QueryStats to them, and every direct
 //               evaluation in a stats-carrying function, of the metric
@@ -1476,9 +1476,9 @@ std::vector<Violation> CheckAccounting(const Tree& tree) {
                      "direct " + name + " call in index code (" +
                          fn.qualified +
                          "): prune-site evaluations must go through "
-                         "GuardedDistanceWithin(chain, capacity, stored, "
-                         "eval, x, bound, st) / CountedDistanceWithin(eval, "
-                         "x, bound, st) so every computed or avoided "
+                         "GuardedDistanceWithin(witness_bound, eval, x, "
+                         "bound, st) / CountedDistanceWithin(eval, x, "
+                         "bound, st) so every computed or avoided "
                          "distance is charged exactly once"});
     }
 

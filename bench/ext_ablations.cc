@@ -1,7 +1,7 @@
 // Ablation studies over the design choices DESIGN.md calls out:
-//   A. Pruning mode (footnote 2): the parent-distance optimizations the
-//      cost model deliberately ignores — how many distance computations do
-//      they save, and do they change I/O?
+//   A. Parent-distance filter (footnote 2): the optimization the cost
+//      model deliberately ignores — of the distances the model prices
+//      (computed + avoided, one tree), how many does the filter compute?
 //   B. Split policies (dynamic inserts): build cost vs query cost vs node
 //      count across promotion/partition policies.
 //   C. Bulk loading vs repeated insertion: tree quality and model accuracy
@@ -59,42 +59,29 @@ int main() {
   BenchObserver observer("ext_ablations");
   Stopwatch watch;
 
-  // ---- A. Pruning modes -------------------------------------------------
+  // ---- A. Parent-distance filter ----------------------------------------
   {
-    TablePrinter table({"mode", "query", "I/O", "CPU", "CPU vs basic"});
-    for (const bool optimized : {false, true}) {
-      MTreeOptions options;
-      options.seed = kSeed;
-      options.pruning =
-          optimized ? PruningMode::kOptimized : PruningMode::kBasic;
-      auto tree = MTree<Traits>::BulkLoad(data, Counted{}, options);
-      const std::string mode_str = optimized ? "optimized" : "basic";
-      const auto range = MeasureRange(tree, queries, rq, &observer,
-                                      "pruning-" + mode_str + "-range", {},
-                                      {{"radius", rq}});
-      const auto knn = MeasureKnn(tree, queries, 1, &observer,
-                                  "pruning-" + mode_str + "-nn1", {},
-                                  {{"k", 1.0}});
-      static double basic_range_cpu = 0.0, basic_knn_cpu = 0.0;
-      if (!optimized) {
-        basic_range_cpu = range.avg_dists;
-        basic_knn_cpu = knn.avg_dists;
-      }
-      const char* mode = optimized ? "optimized" : "basic";
-      table.AddRow({mode, "range", TablePrinter::Num(range.avg_nodes, 1),
-                    TablePrinter::Num(range.avg_dists, 1),
-                    TablePrinter::Num(100.0 * range.avg_dists /
-                                          basic_range_cpu,
-                                      1) +
+    TablePrinter table({"query", "I/O", "CPU priced", "CPU computed",
+                        "computed vs priced"});
+    MTreeOptions options;
+    options.seed = kSeed;
+    auto tree = MTree<Traits>::BulkLoad(data, Counted{}, options);
+    const auto range = MeasureRange(tree, queries, rq, &observer,
+                                    "filter-range", {}, {{"radius", rq}});
+    const auto knn = MeasureKnn(tree, queries, 1, &observer, "filter-nn1", {},
+                                {{"k", 1.0}});
+    const auto add_row = [&](const char* query, const MeasuredCosts& c) {
+      const double computed = c.AvgComputed();
+      table.AddRow({query, TablePrinter::Num(c.avg_nodes, 1),
+                    TablePrinter::Num(c.avg_dists, 1),
+                    TablePrinter::Num(computed, 1),
+                    TablePrinter::Num(100.0 * computed / c.avg_dists, 1) +
                         "%"});
-      table.AddRow({mode, "NN(1)", TablePrinter::Num(knn.avg_nodes, 1),
-                    TablePrinter::Num(knn.avg_dists, 1),
-                    TablePrinter::Num(100.0 * knn.avg_dists / basic_knn_cpu,
-                                      1) +
-                        "%"});
-    }
-    std::cout << "-- A. Parent-distance pruning (footnote 2): same I/O, "
-                 "fewer distances --\n";
+    };
+    add_row("range", range);
+    add_row("NN(1)", knn);
+    std::cout << "-- A. Parent-distance filter (footnote 2): the I/O and "
+                 "CPU the model prices, fewer distances computed --\n";
     table.Print(std::cout);
     std::cout << "\n";
   }

@@ -8,6 +8,9 @@
 // and reports logical costs plus physical read ops/pages per query, beside
 // the N-MCM node/distance prediction computed from a strided-sample F̂.
 //
+// The queries follow the data: each size draws them from the clusters of
+// its own chunks (QueriesForStream), the paper's biased query model.
+//
 // The emitted BENCH_bulk_scale.json carries one `facts_<case>` summary
 // record per build (the build-side numbers as params) and one `q_<case>`
 // case of per-query records. The `bench_compare_bulk` CTests gate on it:
@@ -15,7 +18,9 @@
 // (wall-clock speedup itself scales with host_cores, which the artifact
 // records — on a multi-core host expect >= 2x at 4 threads), and the
 // sequential layout + readahead must cut physical read ops per query
-// versus the layout-off build.
+// versus the layout-off build. The `bench_model_bulk_*` CTests hold the
+// N-MCM node prediction of every case at 100k within [0.8, 1.2] of the
+// measured mean.
 //
 // The object stream is generated chunk-by-chunk, so ingest memory is
 // bounded by the budget, not the dataset: peak_rss_mb in the facts records
@@ -63,6 +68,9 @@ constexpr size_t kDim = 8;
 constexpr double kRadius = 0.15;
 constexpr uint64_t kSeed = 47;
 constexpr int64_t kReadahead = 16;
+/// Objects per generated chunk; chunk c is clustered around the centers
+/// of seed kSeed + c.
+constexpr size_t kChunk = 65536;
 
 /// Resets the kernel's peak-RSS watermark so each build reports its own
 /// high-water mark instead of the process maximum so far. Linux-only
@@ -127,8 +135,6 @@ class ChunkedClusteredSource final : public mcm::ObjectSource<Traits> {
   void Reset() override { pos_ = 0; }
 
  private:
-  static constexpr size_t kChunk = 65536;
-
   size_t n_;
   size_t dim_;
   uint64_t seed_;
@@ -302,6 +308,33 @@ std::vector<FloatVector> SampleForHistogram(size_t n, size_t max_sample) {
   return sample;
 }
 
+/// The query workload for a stream of `n` objects, under the paper's
+/// biased query model: query i is drawn near the stream position
+/// i * n / num_queries, from the clusters of the chunk holding it (that
+/// chunk's seed, the query point stream), so each chunk gets queries in
+/// proportion to its share of the data.
+std::vector<FloatVector> QueriesForStream(size_t n, size_t num_queries) {
+  const size_t chunks = std::max<size_t>(1, (n + kChunk - 1) / kChunk);
+  std::vector<size_t> per_chunk(chunks, 0);
+  std::vector<size_t> chunk_of(num_queries);
+  for (size_t i = 0; i < num_queries; ++i) {
+    chunk_of[i] = i * n / num_queries / kChunk;
+    ++per_chunk[chunk_of[i]];
+  }
+  std::vector<std::vector<FloatVector>> drawn(chunks);
+  for (size_t c = 0; c < chunks; ++c) {
+    drawn[c] = mcm::GenerateVectorQueries(mcm::VectorDatasetKind::kClustered,
+                                          per_chunk[c], kDim, kSeed + c);
+  }
+  std::vector<FloatVector> queries;
+  queries.reserve(num_queries);
+  std::vector<size_t> next(chunks, 0);
+  for (size_t i = 0; i < num_queries; ++i) {
+    queries.push_back(std::move(drawn[chunk_of[i]][next[chunk_of[i]]++]));
+  }
+  return queries;
+}
+
 std::vector<size_t> ParseSizes(const std::string& spec) {
   std::vector<size_t> sizes;
   size_t start = 0;
@@ -343,14 +376,13 @@ int main() {
             << ") queries per index) ==\n\n";
 
   BenchObserver observer("bulk_scale");
-  const auto queries = GenerateVectorQueries(VectorDatasetKind::kClustered,
-                                             num_queries, kDim, kSeed + 999);
   Stopwatch total;
   TablePrinter table({"case", "build s", "build dists", "index MB",
                       "peak RSS MB", "phys reads/q", "read pages/q",
                       "nodes/q", "N-MCM nodes", "dists/q"});
 
   for (const size_t n : sizes) {
+    const auto queries = QueriesForStream(n, num_queries);
     // F̂ for the N-MCM prediction, from a bounded strided sample of the
     // same stream every build consumes.
     EstimatorOptions eo;

@@ -122,7 +122,8 @@ int main() {
           if (observer.dump_events()) obs.events = trace.Events();
           observer.RecordQuery(obs);
         }
-        const double cpu = static_cast<double>(qs.distance_computations);
+        // The models price computed + avoided evaluations.
+        const double cpu = static_cast<double>(qs.PricedDistances());
         const double io = static_cast<double>(qs.nodes_accessed);
 
         const NodeBasedCostModel bracket1(

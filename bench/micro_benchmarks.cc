@@ -515,9 +515,11 @@ BENCHMARK(BM_KernelNodeDecode);
 // refcounted chain the search path replaced, kept here as the "before"
 // side of the WitnessGuard speedup: a chain copy per visit (the frontier
 // pop) and, per entry, a walk over its links through a stored(depth)
-// callback returning [lo, hi] intervals. The kernel side loads the
-// search's window once per visit and runs WitnessWindow::LowerBound.
-// ns/op is per leaf visit, i.e. per 32 guards.
+// callback returning [lo, hi] intervals. The kernel side decides as the
+// search does: the parent-distance filter first, then, for entries it
+// keeps, WitnessWindow::LowerBound over the ancestors above the parent,
+// loaded once per visit. Both sides avoid the same entries. ns/op is per
+// leaf visit, i.e. per 32 guards.
 struct WitnessGuardWorkload {
   std::vector<LeafEntry<double>> entries;
   std::vector<double> query_distances = {6.0, 4.5, 3.5};  // depths 0..2
@@ -596,14 +598,16 @@ void BM_KernelWitnessGuard(benchmark::State& state) {
   engine::WitnessPath path(kLevel);
   uint32_t link = engine::WitnessPath::kNoLink;
   for (const double d : w.query_distances) link = path.Append(link, d);
+  const double parent_query_distance = w.query_distances.back();
   for (auto _ : state) {
     benchmark::DoNotOptimize(link);
     const engine::WitnessWindow window =
         path.Window(link, kLevel, w.capacity);
     int avoided = 0;
     for (const auto& e : w.entries) {
-      avoided += window.LowerBound(e.parent_distance, e.ancestor_distances) >
-                 w.bound;
+      avoided += std::fabs(parent_query_distance - e.parent_distance) >
+                     w.bound ||
+                 window.LowerBound(e.ancestor_distances) > w.bound;
     }
     benchmark::DoNotOptimize(avoided);
   }

@@ -46,11 +46,15 @@ int main(int argc, char** argv) {
   // Now actually run them.
   QueryStats stats;
   const auto near = tree.RangeSearch(query, 2.0, &stats);
+  // Measured distances: computed + avoided by the parent-distance filter,
+  // the count the model prices.
   std::printf("\nwords within edit distance 2 of '%s' (measured: %llu "
-              "reads, %llu distances):\n",
+              "reads, %llu distances + %llu avoided):\n",
               query.c_str(),
               static_cast<unsigned long long>(stats.nodes_accessed),
-              static_cast<unsigned long long>(stats.distance_computations));
+              static_cast<unsigned long long>(stats.distance_computations),
+              static_cast<unsigned long long>(
+                  stats.distance_calcs_avoided_by_witness));
   for (size_t i = 0; i < near.size() && i < 8; ++i) {
     std::printf("  %-20s (distance %.0f)\n", near[i].object.c_str(),
                 near[i].distance);
@@ -61,10 +65,12 @@ int main(int argc, char** argv) {
 
   const auto knn = tree.KnnSearch(query, 5, &stats);
   std::printf("\n5 nearest words to '%s' (measured: %llu reads, %llu "
-              "distances):\n",
+              "distances + %llu avoided):\n",
               query.c_str(),
               static_cast<unsigned long long>(stats.nodes_accessed),
-              static_cast<unsigned long long>(stats.distance_computations));
+              static_cast<unsigned long long>(stats.distance_computations),
+              static_cast<unsigned long long>(
+                  stats.distance_calcs_avoided_by_witness));
   for (const auto& r : knn) {
     std::printf("  %-20s (distance %.0f)\n", r.object.c_str(), r.distance);
   }

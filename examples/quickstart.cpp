@@ -51,10 +51,14 @@ int main() {
   const FloatVector query = objects[123];  // Any object of the space works.
   QueryStats stats;
   const auto results = tree.RangeSearch(query, radius, &stats);
+  // The model prices every entry of every node read: the distances the
+  // search computed plus those its parent-distance filter avoided.
   std::printf("one measured query:       %llu node reads, %llu distance "
-              "computations, %zu results\n",
+              "computations + %llu avoided, %zu results\n",
               static_cast<unsigned long long>(stats.nodes_accessed),
               static_cast<unsigned long long>(stats.distance_computations),
+              static_cast<unsigned long long>(
+                  stats.distance_calcs_avoided_by_witness),
               results.size());
 
   std::printf("\nNN(Q, 10) predictions: %.1f node reads, %.1f distance "
@@ -63,9 +67,11 @@ int main() {
               model.nn_model().ExpectedNnDistance(10));
   const auto knn = tree.KnnSearch(query, 10, &stats);
   std::printf("one measured query:    %llu node reads, %llu distance "
-              "computations, 10th NN at %.3f\n",
+              "computations + %llu avoided, 10th NN at %.3f\n",
               static_cast<unsigned long long>(stats.nodes_accessed),
               static_cast<unsigned long long>(stats.distance_computations),
+              static_cast<unsigned long long>(
+                  stats.distance_calcs_avoided_by_witness),
               knn.back().distance);
   return 0;
 }

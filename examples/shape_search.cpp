@@ -44,10 +44,13 @@ int main() {
 
   QueryStats stats;
   const auto matches = tree.KnnSearch(query, 5, &stats);
+  // The model prices computed + avoided (parent-distance filter) evaluations.
   std::printf("measured:           %llu node reads, %llu Hausdorff "
-              "evaluations\n",
+              "evaluations + %llu avoided\n",
               static_cast<unsigned long long>(stats.nodes_accessed),
-              static_cast<unsigned long long>(stats.distance_computations));
+              static_cast<unsigned long long>(stats.distance_computations),
+              static_cast<unsigned long long>(
+                  stats.distance_calcs_avoided_by_witness));
   std::printf("\n5 most similar shapes:\n");
   for (const auto& m : matches) {
     std::printf("  shape #%llu at Hausdorff distance %.4f\n",

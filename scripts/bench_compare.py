@@ -30,17 +30,20 @@ Generic metric mode: any pair of schema-valid BENCH_*.json files can be
 compared on an explicit metric path with a hard ratio bound:
 
   bench_compare.py BASELINE CURRENT --metric SPEC \
-                   [--current-metric SPEC] --max-ratio X \
+                   [--current-metric SPEC] --max-ratio X [--min-ratio Y] \
                    [--run BINARY --outdir DIR [--env K=V ...]]
       SPEC is RECORD:CASE:FIELD — record type (`summary` or `query`),
       the record's `case` label, and a dotted numeric field path
-      (`avg_dists`, `latency_us.p50`). When several records match (query
-      records do), their values are averaged. The comparison fails when
-      current > baseline * max-ratio. --current-metric defaults to
-      --metric; passing the SAME file as both BASELINE and CURRENT with
-      two different specs compares two cases of one artifact — the
-      `bench_compare_witness` CTest uses this to require the witness
-      cascade to cut avg_dists to <= 0.85x of the capacity-0 run.
+      (`avg_dists`, `latency_us.p50`), or several joined by `+`, whose
+      values are summed (`avg_dists+avg_witness_avoided`). When several
+      records match (query records do), their values are averaged. The
+      comparison fails when current > baseline * max-ratio, or, with
+      --min-ratio, when current < baseline * min-ratio.
+      --current-metric defaults to --metric; passing the SAME file as both
+      BASELINE and CURRENT with two different specs compares two fields or
+      cases of one artifact — the `bench_compare_witness` CTest uses this
+      to require the witness cascade to compute <= 0.85x of the distances
+      the model prices (computed + avoided) in the same run.
 """
 
 import argparse
@@ -126,7 +129,8 @@ def compare(baseline_path, current_path, tolerance):
 
 
 def parse_spec(spec):
-    """Splits RECORD:CASE:FIELD; returns (record, case, field path list)."""
+    """Splits RECORD:CASE:FIELD; returns (record, case, list of field paths
+    to sum, each a list of keys)."""
     parts = spec.split(":")
     if len(parts) != 3 or not all(parts):
         print(f"bad metric spec {spec!r}: expected RECORD:CASE:FIELD",
@@ -137,7 +141,7 @@ def parse_spec(spec):
         print(f"bad metric spec {spec!r}: record must be summary or query",
               file=sys.stderr)
         return None
-    return record, case, field.split(".")
+    return record, case, [term.split(".") for term in field.split("+")]
 
 
 def extract_metric(path, spec):
@@ -145,7 +149,7 @@ def extract_metric(path, spec):
     parsed = parse_spec(spec)
     if parsed is None:
         return None
-    record, case, field_path = parsed
+    record, case, field_paths = parsed
     values = []
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -161,15 +165,18 @@ def extract_metric(path, spec):
             if (not isinstance(rec, dict) or rec.get("record") != record
                     or rec.get("case") != case):
                 continue
-            value = rec
-            for key in field_path:
-                value = value.get(key) if isinstance(value, dict) else None
-            if not isinstance(value, (int, float)):
-                print(f"{path}:{lineno}: {'.'.join(field_path)} is not "
-                      f"numeric in matching {record} record",
-                      file=sys.stderr)
-                return None
-            values.append(float(value))
+            total = 0.0
+            for field_path in field_paths:
+                value = rec
+                for key in field_path:
+                    value = value.get(key) if isinstance(value, dict) else None
+                if not isinstance(value, (int, float)):
+                    print(f"{path}:{lineno}: {'.'.join(field_path)} is not "
+                          f"numeric in matching {record} record",
+                          file=sys.stderr)
+                    return None
+                total += float(value)
+            values.append(total)
     if not values:
         print(f"{path}: no {record} record with case {case!r}",
               file=sys.stderr)
@@ -178,7 +185,7 @@ def extract_metric(path, spec):
 
 
 def compare_metric(baseline_path, current_path, baseline_spec, current_spec,
-                   max_ratio):
+                   max_ratio, min_ratio=None):
     base = extract_metric(baseline_path, baseline_spec)
     cur = extract_metric(current_path, current_spec)
     if base is None or cur is None:
@@ -186,9 +193,16 @@ def compare_metric(baseline_path, current_path, baseline_spec, current_spec,
     ratio = cur / base if base > 0 else float("inf")
     print(f"baseline  {baseline_spec:<40} {base:>12.3f}  ({baseline_path})")
     print(f"current   {current_spec:<40} {cur:>12.3f}  ({current_path})")
-    print(f"ratio     {ratio:.3f}  (max allowed {max_ratio})")
+    allowed = f"max allowed {max_ratio}"
+    if min_ratio is not None:
+        allowed = f"min allowed {min_ratio}, " + allowed
+    print(f"ratio     {ratio:.3f}  ({allowed})")
     if ratio > max_ratio:
         print(f"FAIL: ratio {ratio:.3f} exceeds {max_ratio}",
+              file=sys.stderr)
+        return 1
+    if min_ratio is not None and ratio < min_ratio:
+        print(f"FAIL: ratio {ratio:.3f} is below {min_ratio}",
               file=sys.stderr)
         return 1
     print("ok")
@@ -264,6 +278,8 @@ def main():
                         help="metric path in CURRENT (default: --metric)")
     parser.add_argument("--max-ratio", type=float,
                         help="generic mode: max current/baseline ratio")
+    parser.add_argument("--min-ratio", type=float,
+                        help="generic mode: min current/baseline ratio")
     parser.add_argument("--min-speedup", action="append", default=[],
                         metavar="NAME=X",
                         help="speedup mode: required scalar/kernel ratio")
@@ -293,7 +309,7 @@ def main():
                 return 1
         return compare_metric(args.files[0], args.files[1], args.metric,
                               args.current_metric or args.metric,
-                              args.max_ratio)
+                              args.max_ratio, args.min_ratio)
     if args.run:
         parser.error("--run needs --metric or --min-speedup")
     if len(args.files) != 2:

@@ -130,6 +130,20 @@ def check_document(where, doc):
             errors += fail(f"{where}.actual", "per-level node visits "
                            f"({level_nodes}) do not sum to the total "
                            f"({doc['actual'].get('nodes')})")
+        # Each parent-filter skip (entries_pruned) and cascade skip
+        # (witness_avoided) is one avoided evaluation, so computed +
+        # avoided per level sums to the query's computed + avoided.
+        level_priced = sum(lv.get("distances", 0) +
+                           lv.get("entries_pruned", 0) +
+                           lv.get("witness_avoided", 0)
+                           for lv in doc["actual"]["levels"]
+                           if isinstance(lv, dict))
+        priced = (doc["actual"].get("distances", 0) +
+                  doc["actual"].get("witness_avoided", 0))
+        if level_priced != priced:
+            errors += fail(f"{where}.actual", "per-level computed + "
+                           f"avoided ({level_priced}) does not sum to "
+                           f"the total ({priced})")
 
     for phase in PHASES:
         if not isinstance(doc["phase_us"].get(phase), NUM):

@@ -22,10 +22,10 @@ case "${SANITIZER}" in
     TARGETS="engine_executor_test executor_shutdown_test buffer_pool_test page_file_test bounded_metric_test node_cache_test telemetry_export_test witness_test witness_reuse_test bulk_stream_test readahead_test shard_router_test"
     ;;
   address)
-    TARGETS="buffer_pool_test node_test node_store_test page_file_test mtree_insert_test mtree_delete_test persist_test check_invariants_test bounded_metric_test string_metrics_test node_cache_test phase_timer_test explain_test witness_test witness_reuse_test"
+    TARGETS="buffer_pool_test node_test node_store_test page_file_test mtree_insert_test mtree_delete_test persist_test check_invariants_test bounded_metric_test string_metrics_test node_cache_test phase_timer_test explain_test witness_test witness_reuse_test mtree_search_identity_test"
     ;;
   undefined)
-    TARGETS="histogram_test nmcm_test lmcm_test vp_model_test check_invariants_test kernels_test bounded_metric_test string_metrics_test node_test node_store_test page_file_test node_cache_test phase_timer_test explain_test witness_test witness_reuse_test"
+    TARGETS="histogram_test nmcm_test lmcm_test vp_model_test check_invariants_test kernels_test bounded_metric_test string_metrics_test node_test node_store_test page_file_test node_cache_test phase_timer_test explain_test witness_test witness_reuse_test mtree_search_identity_test"
     ;;
   *)
     echo "usage: $0 thread|address|undefined" >&2

@@ -11,6 +11,7 @@
 #define MCM_BENCH_UTIL_EXPERIMENT_H_
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,13 +29,20 @@ namespace mcm {
 /// Workload-averaged costs.
 struct MeasuredCosts {
   double avg_nodes = 0.0;    ///< Mean node reads per query (I/O cost).
-  double avg_dists = 0.0;    ///< Mean distance computations (CPU cost).
+  double avg_dists = 0.0;    ///< Mean computed + avoided (CPU cost).
+  double avg_avoided = 0.0;  ///< Mean avoided evaluations among those.
   double avg_results = 0.0;  ///< Mean result cardinality.
   double avg_kth_distance = 0.0;  ///< k-NN only: mean k-th NN distance.
   double avg_pruned = 0.0;   ///< Mean subtrees eliminated without a visit.
   uint64_t buffer_hits = 0;    ///< Total buffer-pool hits (paged trees).
   uint64_t buffer_misses = 0;  ///< Total buffer-pool misses (paged trees).
   size_t num_queries = 0;
+
+  /// avg_dists - avg_avoided, exactly: from the integer totals.
+  double AvgComputed() const {
+    const double n = static_cast<double>(std::max<size_t>(num_queries, 1));
+    return (std::round(avg_dists * n) - std::round(avg_avoided * n)) / n;
+  }
 };
 
 namespace internal {
@@ -43,7 +51,9 @@ namespace internal {
 inline void Accumulate(const QueryStats& stats, size_t results,
                        MeasuredCosts* costs) {
   costs->avg_nodes += static_cast<double>(stats.nodes_accessed);
-  costs->avg_dists += static_cast<double>(stats.distance_computations);
+  costs->avg_dists += static_cast<double>(stats.PricedDistances());
+  costs->avg_avoided +=
+      static_cast<double>(stats.distance_calcs_avoided_by_witness);
   costs->avg_results += static_cast<double>(results);
   costs->avg_pruned += static_cast<double>(stats.nodes_pruned);
   costs->buffer_hits += stats.buffer_hits;
@@ -56,6 +66,7 @@ inline void FinishAverages(size_t num_queries, MeasuredCosts* costs) {
   const double n = static_cast<double>(num_queries);
   costs->avg_nodes /= n;
   costs->avg_dists /= n;
+  costs->avg_avoided /= n;
   costs->avg_results /= n;
   costs->avg_kth_distance /= n;
   costs->avg_pruned /= n;

@@ -4,7 +4,7 @@
 //                     within its covering radius (the defining M-tree
 //                     property; the pruning lemmas are unsound without it);
 //   parent-distance   stored parent distances equal d(parent routing
-//                     object, entry object) — the optimized search prunes
+//                     object, entry object) — every search filters
 //                     with these, so a stale value silently drops results;
 //   node-overflow     every node's serialized form fits the configured
 //                     node (page) size;

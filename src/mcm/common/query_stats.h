@@ -46,9 +46,9 @@ struct QueryStats {
   uint64_t buffer_hits = 0;    ///< Node reads served from the buffer pool.
   uint64_t buffer_misses = 0;  ///< Node reads that hit the PageFile.
 
-  /// Metric evaluations skipped because a witness (an already-computed
-  /// query distance paired with a stored object-to-witness distance) proved
-  /// via the triangle inequality that the entry cannot qualify. Each such
+  /// Metric evaluations skipped because a witness (the M-tree's parent
+  /// filter or cascade: a query distance and a stored distance) proved by
+  /// the triangle inequality that the entry cannot qualify. Each such
   /// skip would have been one distance_computations increment.
   uint64_t distance_calcs_avoided_by_witness = 0;
 
@@ -64,6 +64,11 @@ struct QueryStats {
   /// When non-null (and MCM_OBS is on), phase timers append begin/end spans
   /// here for the Chrome-trace exporter. Owned by the caller.
   PhaseSpanLog* spans = nullptr;
+
+  /// Computed + avoided evaluations: the count the cost models price.
+  uint64_t PricedDistances() const {
+    return distance_computations + distance_calcs_avoided_by_witness;
+  }
 
   /// Nanoseconds spent in phase `p`.
   uint64_t PhaseNs(QueryPhase p) const {

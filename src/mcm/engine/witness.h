@@ -4,34 +4,26 @@
 //
 //   |d(Q, w) - d(w, o)| <= d(Q, o).
 //
-// The Cascading Metric Tree applies exactly this cascade of bounds to cut
-// metric evaluations; the Symmetric M-tree shows the stored side (the
-// d(w, o) values) can live in the node entry layout. The M-tree is the one
-// index with a stored side: its entries keep their parent distance and
-// their distances to the routing objects above the parent, indexed by
-// depth. The vp-tree, the GNAT and the scan keep none (in those trees the
-// bound checks cost more wall time than the evaluations they save) and run
-// the plain search through CountedDistanceWithin.
+// Only the M-tree stores that side. Its search's parent-distance filter
+// uses each entry's parent distance; once InstallWitnessCascade() has run,
+// the cascade (Cascading Metric Tree; stored in the entry layout as in the
+// Symmetric M-tree) also uses its distances to the routing objects above
+// the parent, through a WitnessPath the search owns: one link per pushed
+// child, holding d(Q, routing object) and the link above it. Expanding a
+// node loads those ancestors' query distances into a depth-indexed window
+// once; each entry's bound is a loop of |dq[depth] - stored|. Capacity
+// (MTreeOptions::witness_capacity, else MCM_WITNESSES, default 8) counts
+// the parent, so 0 or 1 runs the filter alone. The vp-tree, the GNAT and
+// the scan store nothing (there the checks cost more than they save).
 //
-// The query side is a WitnessPath the search owns: one link per pushed
-// child, holding d(Q, routing object) and the link of the routing object
-// above it, so a frontier region names its whole root path with one
-// index. Expanding a node loads the query distances of its `capacity`
-// nearest ancestors into a depth-indexed window once; each entry's bound
-// is then a loop of |dq[depth] - stored| over its stored distances.
-// Near ancestors describe the smallest regions, so their bounds are the
-// tightest. Capacity comes from MTreeOptions::witness_capacity, else
-// MCM_WITNESSES (default 8); capacity 0 consults nothing and reproduces
-// the plain search exactly.
-//
-// The sanctioned prune-site entry points are GuardedDistanceWithin, which
-// compares the precomputed witness bound first, charges either one avoided
-// or one computed evaluation to QueryStats, and only then runs the
-// (bounded) evaluation, and CountedDistanceWithin for sites without a
-// stored side. Both take the query's evaluator (metric/prepared.h, via
-// PrepareQuery, built once per search) in place of (metric, query). The
-// lint rule `no-direct-prune-distance` and mcm_analyze's `accounting` rule
-// keep index prune sites on them.
+// Each skip, filter or cascade, is charged as one avoided evaluation
+// (ChargeAvoided), so computed + avoided is the count N-MCM prices. The
+// sanctioned prune-site entry points are GuardedDistanceWithin (cascade
+// bound first, then one avoided or one computed evaluation) and
+// CountedDistanceWithin for sites without a stored side; both take the
+// query's evaluator (metric/prepared.h). The lint rule
+// `no-direct-prune-distance` and mcm_analyze's `accounting` rule keep
+// index prune sites on them.
 
 #ifndef MCM_ENGINE_WITNESS_H_
 #define MCM_ENGINE_WITNESS_H_
@@ -66,34 +58,30 @@ inline int ResolveWitnessCapacity(int configured) {
   return static_cast<int>(v);
 }
 
-/// The witness bound of a node consulting no witness (capacity 0, or the
-/// root): it proves nothing, not even against a negative search bound.
+/// The bound of an empty window (capacity 0 or 1, levels 1 and 2): it
+/// proves nothing, not even against a negative search bound.
 inline constexpr double kNoWitnessBound =
     -std::numeric_limits<double>::infinity();
 
-/// The witnesses one expanded node's entries are bounded by: the query
-/// distances dq[depth] of its `count` nearest ancestor routing objects,
-/// the nearest (the entries' parent) at depth `parent`.
+/// The cascade's witnesses for one expanded node's entries: the query
+/// distances dq[depth] of the ancestors at depths [first, parent) above
+/// the entries' parent (at depth `parent`, the filter's witness).
 struct WitnessWindow {
   const double* dq = nullptr;
+  uint32_t first = 0;
   uint32_t parent = 0;
-  uint32_t count = 0;
 
   /// Best lower bound on d(Q, o) for an entry o stored at distance
-  /// `parent_distance` from its parent and `ancestors[d]` from the routing
-  /// object at depth d < parent (a shorter array leaves the deeper
-  /// ancestors unknown): max(0, |dq[d] - stored|) over the window, NaN
-  /// terms skipped. kNoWitnessBound when the window is empty. Always
-  /// inlined: it runs once per entry of every expanded node, and left out
-  /// of line it slowed even the capacity-0 search measurably.
+  /// `ancestors[d]` from the routing object at depth d (a shorter array
+  /// leaves the deeper ones unknown): max(0, |dq[d] - stored|), NaN terms
+  /// skipped; kNoWitnessBound if none is stored in the window. Always
+  /// inlined: out of line, this per-entry call slowed the search measurably.
   [[gnu::always_inline]] double LowerBound(
-      double parent_distance, std::span<const double> ancestors) const {
-    if (count == 0) return kNoWitnessBound;
-    double lb = 0.0;
-    const double p = std::fabs(dq[parent] - parent_distance);
-    if (p > lb) lb = p;
+      std::span<const double> ancestors) const {
     const size_t end = std::min<size_t>(parent, ancestors.size());
-    for (size_t d = parent + 1 - count; d < end; ++d) {
+    if (first >= end) return kNoWitnessBound;
+    double lb = 0.0;
+    for (size_t d = first; d < end; ++d) {
       // One term per ancestor depth, not per vector coordinate.
       const double v = std::fabs(dq[d] - ancestors[d]);  // mcm-lint: allow(no-adhoc-vector-math)
       if (v > lb) lb = v;
@@ -113,7 +101,7 @@ class WitnessPath {
   static constexpr uint32_t kNoLink = std::numeric_limits<uint32_t>::max();
 
   /// `height` sizes the depth-indexed window (a tree of that height needs
-  /// height - 1 depths); a deeper node grows it.
+  /// height - 2 depths); a deeper node grows it.
   explicit WitnessPath(size_t height = 0) : dq_(height) {}
 
   /// Appends d(Q, w) for a routing object w whose own parent routing
@@ -125,19 +113,20 @@ class WitnessPath {
   }
 
   /// The window of a node at `level` (root = 1) whose routing object has
-  /// link `link`: the query distances of its min(capacity, level - 1)
-  /// nearest ancestors, loaded once. Empty at the root and for capacity 0.
-  /// Valid until the next call.
+  /// link `link`: the query distances of the min(capacity - 1, level - 2)
+  /// nearest ancestors above that routing object, loaded once. Empty for
+  /// capacity 0 or 1 and at levels 1 and 2. Valid until the next call.
   WitnessWindow Window(uint32_t link, uint32_t level, int capacity) {
-    if (capacity <= 0 || level < 2) return {};
+    if (capacity <= 1 || level < 3) return {};
     const uint32_t parent = level - 2;
-    const uint32_t count =
-        std::min(static_cast<uint32_t>(capacity), level - 1);
-    if (dq_.size() <= parent) dq_.resize(parent + 1);
-    for (uint32_t i = 0; i < count; ++i, link = links_[link].parent) {
-      dq_[parent - i] = links_[link].query_distance;
+    const uint32_t first =
+        parent - std::min(static_cast<uint32_t>(capacity) - 1, parent);
+    if (dq_.size() < parent) dq_.resize(parent);
+    for (uint32_t d = parent; d > first; --d) {  // Above `link`'s depth.
+      link = links_[link].parent;
+      dq_[d - 1] = links_[link].query_distance;
     }
-    return {dq_.data(), parent, count};
+    return {dq_.data(), first, parent};
   }
 
  private:
@@ -161,24 +150,31 @@ concept WitnessAwareEvaluator = requires(const E& e) {
 
 }  // namespace internal
 
+/// Charges one avoided evaluation of d(Q, x), where `eval` is Q's
+/// evaluator: QueryStats::distance_calcs_avoided_by_witness plus the
+/// evaluator's own ledger when it keeps one. The M-tree's parent-distance
+/// filter and GuardedDistanceWithin's avoided branch both charge here.
+template <typename Evaluator>
+inline void ChargeAvoided(const Evaluator& eval, QueryStats* st) {
+  ++st->distance_calcs_avoided_by_witness;
+  if constexpr (internal::WitnessAwareEvaluator<Evaluator>) {
+    eval.RecordAvoided();
+  }
+}
+
 /// The engine's guarded prune-site evaluation of d(Q, x), where `eval` is
 /// Q's evaluator (PrepareQuery) and `witness_bound` a lower bound on
 /// d(Q, x) (WitnessWindow::LowerBound). When it proves d(Q, x) > bound,
-/// charges one avoided evaluation (QueryStats::
-/// distance_calcs_avoided_by_witness plus the evaluator's own ledger when
-/// it keeps one) and returns +infinity without evaluating. Otherwise
-/// charges one computed evaluation and runs the bounded protocol. With
-/// kNoWitnessBound this is exactly the plain
+/// charges one avoided evaluation (ChargeAvoided) and returns +infinity
+/// without evaluating. Otherwise charges one computed evaluation and runs
+/// the bounded protocol. With kNoWitnessBound this is exactly the plain
 /// `++distance_computations; eval.DistanceWithin(...)` sequence.
 template <typename Evaluator, typename ObjectT>
 inline double GuardedDistanceWithin(double witness_bound,
                                     const Evaluator& eval, const ObjectT& x,
                                     double bound, QueryStats* st) {
   if (witness_bound > bound) {
-    ++st->distance_calcs_avoided_by_witness;
-    if constexpr (internal::WitnessAwareEvaluator<Evaluator>) {
-      eval.RecordAvoided();
-    }
+    ChargeAvoided(eval, st);
     return std::numeric_limits<double>::infinity();
   }
   ++st->distance_computations;

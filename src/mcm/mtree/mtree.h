@@ -3,10 +3,10 @@
 // predicts. Supports dynamic insertion with the VLDB'97 split policies,
 // range and optimal k-NN search, and statistics export for the cost models.
 //
-// Search runs in one of two pruning modes (options.h): kBasic computes the
-// distance from the query to every entry of every accessed node — exactly
-// the CPU cost the paper models (footnote 2) — while kOptimized applies the
-// stored-parent-distance pruning of the original M-tree.
+// Search applies the original M-tree's stored-parent-distance filter,
+// which the paper's cost model leaves out (footnote 2), and charges each
+// skip as one avoided evaluation: computed + avoided is exactly the basic
+// search's count (every entry of every accessed node, Eq. 7).
 
 #ifndef MCM_MTREE_MTREE_H_
 #define MCM_MTREE_MTREE_H_
@@ -496,16 +496,16 @@ class MTree {
       root_ = root_node.routing_entries.front().child;
       store_->Free(old_root);
       --height_;
-      // The new root's entries keep stale parent distances; they are never
-      // consulted at the root (search passes "no parent" there).
+      // The new root's entries keep stale parent distances; the search's
+      // parent filter never reads them at the root.
     }
   }
 
   /// The M-tree's node reference on the shared best-first frontier: the
   /// node id, its routing object's link on the search's witness path
-  /// (kNoLink at the root and while no witness is consulted), and
-  /// d(Q, parent routing object) — NaN at the root — which feeds the
-  /// stored-parent-distance filter in optimized pruning mode.
+  /// (kNoLink at the root and while the cascade is off), and
+  /// d(Q, parent routing object) — NaN at the root — the query side of the
+  /// stored-parent-distance filter.
   struct TraversalHandle {
     NodeId node = kInvalidNodeId;
     uint32_t link = engine::WitnessPath::kNoLink;
@@ -520,15 +520,14 @@ class MTree {
   template <typename Collector>
   void Traverse(const Object& query, Collector& collector, QueryStats* st,
                 PruneReason cut_reason) const {
-    const bool optimized = options_.pruning == PruningMode::kOptimized;
-    // Witness bounds engage only while the stored ancestor distances are
-    // valid; capacity 0 leaves every window empty, so each guarded call is
-    // the plain bounded evaluation of the pre-witness search.
+    // The cascade engages only while the stored ancestor distances are
+    // valid; capacity 0 or 1 leaves every window empty, so each guarded
+    // call is the plain bounded evaluation.
     const int wcap = cascade_installed_ ? witness_capacity_ : 0;
     // Q's evaluator, prepared once for every distance of this search, and
     // the search's witness path.
     const auto eval = PrepareQuery(metric_, query);
-    engine::WitnessPath path(wcap > 0 ? height_ : 0);
+    engine::WitnessPath path(wcap > 1 ? height_ : 0);
     // Children that survive the ball test, in entry order — the readahead
     // hint of each internal node. With bulk-loaded sequential layout these
     // are contiguous page runs.
@@ -539,46 +538,51 @@ class MTree {
             auto& frontier) {
           const auto node = store_->ReadShared(item.handle.node, st);
           ++st->nodes_accessed;
+          // The parent filter: d(Q, e) >= |d(Q, P) - d(P, e)|, so an entry
+          // (with `radius`: a subtree) whose gap exceeds the bound is one
+          // the basic search rejects; it is skipped as one avoided
+          // evaluation. pqd is NaN at the root, whose stale parent
+          // distances it never reads.
           const double pqd = item.handle.parent_query_distance;
-          const bool can_prune = optimized && !std::isnan(pqd);
+          const auto filtered = [&](double parent_distance, double radius) {
+            const bool skip =
+                std::fabs(pqd - parent_distance) - radius > collector.Bound();
+            if (skip) engine::ChargeAvoided(eval, st);
+            return skip;
+          };
           const engine::WitnessWindow window =
               path.Window(item.handle.link, item.level, wcap);
           uint32_t scanned = 0;
-          uint32_t wavoided = 0;
+          uint32_t pruned = 0;
           if (node->is_leaf) {
+            const uint64_t avoided_before =
+                st->distance_calcs_avoided_by_witness;
             {
               // One distance-eval span per node, not per entry: the clock
               // is read twice per accessed node, keeping obs-on overhead
               // proportional to I/O cost rather than CPU cost.
               ScopedSpan dist_span(st, QueryPhase::kDistanceEval);
               for (const auto& e : node->leaf_entries) {
-                if (can_prune && std::fabs(pqd - e.parent_distance) >
-                                     collector.Bound()) {
+                if (filtered(e.parent_distance, 0.0)) {
+                  ++pruned;
                   continue;
                 }
                 // Early exit past the collector bound: an aborted (or
-                // witness-avoided) evaluation returns +inf, which Offer
+                // cascade-avoided) evaluation returns +inf, which Offer
                 // rejects exactly as it would the true distance.
-                const uint64_t avoided_before =
-                    st->distance_calcs_avoided_by_witness;
-                const double d = engine::GuardedDistanceWithin(
-                    window.LowerBound(e.parent_distance, e.ancestor_distances),
-                    eval, e.object, collector.Bound(), st);
-                if (st->distance_calcs_avoided_by_witness !=
-                    avoided_before) {
-                  ++wavoided;
-                  continue;
-                }
-                ++scanned;
-                collector.Offer(e.oid, e.object, d);
+                collector.Offer(e.oid, e.object,
+                                engine::GuardedDistanceWithin(
+                                    window.LowerBound(e.ancestor_distances),
+                                    eval, e.object, collector.Bound(), st));
               }
             }
             if (st->trace != nullptr) {
-              st->trace->RecordVisit(
-                  item.handle.node, item.level, scanned,
-                  static_cast<uint32_t>(node->leaf_entries.size()) - scanned -
-                      wavoided,
-                  scanned, wavoided);
+              const auto avoided = static_cast<uint32_t>(
+                  st->distance_calcs_avoided_by_witness - avoided_before);
+              scanned =
+                  static_cast<uint32_t>(node->leaf_entries.size()) - avoided;
+              st->trace->RecordVisit(item.handle.node, item.level, scanned,
+                                     pruned, scanned, avoided - pruned);
             }
             return;
           }
@@ -586,9 +590,8 @@ class MTree {
           {
             ScopedSpan dist_span(st, QueryPhase::kDistanceEval);
             for (const auto& e : node->routing_entries) {
-              if (can_prune && std::fabs(pqd - e.parent_distance) -
-                                       e.covering_radius >
-                                   collector.Bound()) {
+              if (filtered(e.parent_distance, e.covering_radius)) {
+                ++pruned;
                 ++st->nodes_pruned;
                 if (st->trace != nullptr) {
                   st->trace->RecordPrune(e.child, item.level + 1,
@@ -600,16 +603,14 @@ class MTree {
               // i.e. when dmin = d - r <= Bound(); beyond Bound() + r the
               // child is pruned either way, so the early exit changes
               // nothing — an aborted d gives dmin = +inf, pruned like its
-              // exact value. A witness-avoided evaluation proves the same
+              // exact value. A cascade-avoided evaluation proves the same
               // inequality from stored distances alone, cutting the child
               // without touching the metric.
-              const uint64_t avoided_before =
-                  st->distance_calcs_avoided_by_witness;
+              const uint64_t computed_before = st->distance_computations;
               const double d = engine::GuardedDistanceWithin(
-                  window.LowerBound(e.parent_distance, e.ancestor_distances),
-                  eval, e.object, collector.Bound() + e.covering_radius, st);
-              if (st->distance_calcs_avoided_by_witness != avoided_before) {
-                ++wavoided;
+                  window.LowerBound(e.ancestor_distances), eval, e.object,
+                  collector.Bound() + e.covering_radius, st);
+              if (st->distance_computations == computed_before) {
                 ++st->nodes_pruned;
                 if (st->trace != nullptr) {
                   st->trace->RecordPrune(e.child, item.level + 1,
@@ -623,7 +624,7 @@ class MTree {
               uint32_t link = engine::WitnessPath::kNoLink;
               if (dmin <= collector.Bound()) {
                 survivors.push_back(e.child);
-                if (wcap > 0) link = path.Append(item.handle.link, d);
+                if (wcap > 1) link = path.Append(item.handle.link, d);
               }
               frontier.PushOrPrune(dmin, item.level + 1, e.child,
                                    TraversalHandle{e.child, link, d},
@@ -637,10 +638,9 @@ class MTree {
           store_->Prefetch(survivors.data(), survivors.size(), st);
           if (st->trace != nullptr) {
             st->trace->RecordVisit(
-                item.handle.node, item.level, scanned,
+                item.handle.node, item.level, scanned, pruned, scanned,
                 static_cast<uint32_t>(node->routing_entries.size()) -
-                    scanned - wavoided,
-                scanned, wavoided);
+                    scanned - pruned);
           }
         });
   }

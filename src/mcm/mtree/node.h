@@ -31,8 +31,8 @@ using NodeId = uint32_t;
 inline constexpr NodeId kInvalidNodeId = static_cast<NodeId>(-1);
 
 /// Entry of a leaf node: an indexed object with its external identifier and
-/// its distance to the parent routing object (used by the optimized search
-/// to avoid distance computations).
+/// its distance to the parent routing object (the search's parent-distance
+/// filter skips entries with it).
 template <typename Object>
 struct LeafEntry {
   Object object;

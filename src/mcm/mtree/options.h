@@ -1,8 +1,9 @@
 // Configuration knobs of the M-tree. Defaults match the paper's
-// experimental setup: 4 KB nodes, 30% minimum utilization, and — because
-// footnote 2 excludes the distance-saving search optimizations from the
-// cost model — a switchable pruning mode so measured CPU costs can be
-// compared against the model (Basic) or against the real optimized search.
+// experimental setup: 4 KB nodes and 30% minimum utilization. Search has
+// no mode: it always applies the stored-parent-distance filter, which
+// footnote 2 leaves out of the cost model, and charges each entry it skips
+// as one avoided evaluation, so computed + avoided is the count N-MCM
+// prices.
 
 #ifndef MCM_MTREE_OPTIONS_H_
 #define MCM_MTREE_OPTIONS_H_
@@ -26,15 +27,6 @@ enum class PartitionPolicy {
   kHyperplane,  ///< Generalized hyperplane: each entry to its closer center.
 };
 
-/// Distance-computation saving during search (M-tree paper, Section 4).
-/// The cost model of the paper deliberately ignores these optimizations
-/// (footnote 2), so experiments run in kBasic mode; kOptimized is the real
-/// search used by applications.
-enum class PruningMode {
-  kBasic,      ///< Compute the distance to every entry of an accessed node.
-  kOptimized,  ///< Skip entries pruned by the stored parent distances.
-};
-
 /// M-tree construction and search options.
 struct MTreeOptions {
   /// Node (disk page) size in bytes. Paper default: 4 KB.
@@ -49,8 +41,6 @@ struct MTreeOptions {
 
   /// Pairs sampled by PromotePolicy::kSampling.
   size_t promote_samples = 64;
-
-  PruningMode pruning = PruningMode::kBasic;
 
   /// Buffer-pool frames when a paged node store is used.
   size_t buffer_pool_frames = 1024;
@@ -71,14 +61,12 @@ struct MTreeOptions {
   /// experiments.
   bool bulk_sequential_layout = true;
 
-  /// Witness-set capacity for search: how many of the query distances
-  /// computed on the path down are consulted (via triangle-inequality
-  /// bounds against the stored ancestor distances) before each metric
-  /// evaluation. 0 disables the witness cascade and reproduces the
-  /// pre-witness search bit-identically; -1 (default) resolves from
-  /// MCM_WITNESSES (default 8) at construction time. Witness bounds only
-  /// engage after InstallWitnessCascade() has stored the per-entry
-  /// ancestor distances.
+  /// Witness-set capacity for search: how many query distances computed on
+  /// the path down bound each entry (triangle inequality against stored
+  /// distances). The parent's always does, by the parent-distance filter,
+  /// so 0 or 1 runs that filter alone; c > 1 adds the c - 1 ancestors above
+  /// it once InstallWitnessCascade() has stored their distances. -1
+  /// (default) resolves from MCM_WITNESSES (default 8) at construction.
   int witness_capacity = -1;
 };
 

@@ -157,9 +157,9 @@ void BenchObserver::RecordQuery(const QueryObservation& obs) {
           .Add(p.nodes, static_cast<double>(obs.stats.nodes_accessed));
     }
     if (p.dists >= 0.0) {
+      // The models price every evaluation the search makes or avoids.
       residuals_.Stream(p.model + "/dists")
-          .Add(p.dists,
-               static_cast<double>(obs.stats.distance_computations));
+          .Add(p.dists, static_cast<double>(obs.stats.PricedDistances()));
     }
     if (!p.level_nodes.empty()) {
       residuals_.AddLevelSamples(p.model, p.level_nodes, obs.level_nodes);

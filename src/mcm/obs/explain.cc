@@ -69,7 +69,7 @@ std::string RenderExplainText(const ExplainReport& report) {
     }
     totals.AddRow({"actual",
                    std::to_string(report.stats.nodes_accessed),
-                   std::to_string(report.stats.distance_computations)});
+                   std::to_string(report.stats.PricedDistances())});
     totals.Print(out);
   }
 
@@ -80,7 +80,7 @@ std::string RenderExplainText(const ExplainReport& report) {
                                        "dists N-MCM", "dists L-MCM"};
     if (witness != nullptr) header.push_back("dists N-MCM+w");
     header.push_back("dists actual");
-    if (witness != nullptr) header.push_back("avoided");
+    header.push_back("avoided");
     TablePrinter levels(std::move(header));
     const size_t height = report.level_actuals.size();
     for (size_t l = 0; l < height; ++l) {
@@ -104,10 +104,10 @@ std::string RenderExplainText(const ExplainReport& report) {
         row.push_back(TablePrinter::Num(LevelValue(witness->level_distances,
                                                    l)));
       }
-      row.push_back(std::to_string(actual.distances));
-      if (witness != nullptr) {
-        row.push_back(std::to_string(actual.witness_avoided));
-      }
+      // Each filter or cascade skip is one avoided evaluation.
+      const uint64_t avoided = actual.entries_pruned + actual.witness_avoided;
+      row.push_back(std::to_string(actual.distances + avoided));
+      row.push_back(std::to_string(avoided));
       levels.AddRow(std::move(row));
     }
     levels.Print(out);
@@ -144,10 +144,9 @@ std::string RenderExplainText(const ExplainReport& report) {
       << "  latency: " << TablePrinter::Num(report.latency_us, 1)
       << " us  buffer hits/misses: " << report.stats.buffer_hits << "/"
       << report.stats.buffer_misses;
-  if (report.stats.distance_calcs_avoided_by_witness > 0) {
-    out << "  witness-avoided distances: "
-        << report.stats.distance_calcs_avoided_by_witness;
-  }
+  out << "  distances computed/avoided: "
+      << report.stats.distance_computations << "/"
+      << report.stats.distance_calcs_avoided_by_witness;
   if (report.trace_dropped > 0) {
     out << "  (trace dropped " << report.trace_dropped << " events)";
   }

@@ -32,9 +32,9 @@ struct ExplainModelPrediction {
 /// Measured per-level tallies (from the query's trace).
 struct ExplainLevelActual {
   uint64_t node_visits = 0;
-  uint64_t distances = 0;
+  uint64_t distances = 0;        ///< Computed evaluations.
   uint64_t entries_scanned = 0;
-  uint64_t entries_pruned = 0;
+  uint64_t entries_pruned = 0;   ///< Entries the parent filter skipped.
   uint64_t subtree_prunes = 0;
   uint64_t witness_avoided = 0;  ///< Evaluations cut by the witness cascade.
 };

@@ -17,7 +17,7 @@ namespace mcm {
 /// Why a subtree (or leaf entry) was skipped without computing its distance.
 enum class PruneReason : uint8_t {
   kNone = 0,
-  kParentFilter,    ///< M-tree stored-parent-distance lemma (optimized mode).
+  kParentFilter,    ///< M-tree stored-parent-distance filter.
   kCoveringRadius,  ///< M-tree ball test d(Q,O_r) > r(N) + r_Q.
   kKnnBound,        ///< k-NN dynamic radius r_k cut the region off.
   kRangeTable,      ///< GNAT range-table elimination.
@@ -51,7 +51,7 @@ struct TraceEvent {
   uint32_t entries_scanned = 0;  ///< Entries whose distance was computed.
   uint32_t entries_pruned = 0;   ///< Entries skipped by the parent filter.
   uint32_t distances = 0;        ///< Distance computations at this node.
-  uint32_t witness_avoided = 0;  ///< Metric calls skipped by witness bounds.
+  uint32_t witness_avoided = 0;  ///< Metric calls skipped by the cascade.
   bool buffer_hit = false;
 };
 

@@ -26,7 +26,7 @@ struct ShardExplainRow {
   double predicted_nodes = 0.0;
   double predicted_dists = 0.0;
   uint64_t actual_nodes = 0;
-  uint64_t actual_dists = 0;
+  uint64_t actual_dists = 0;    ///< Computed + avoided, as N-MCM prices.
   size_t results = 0;
   /// Radius the shard was actually searched with: the query radius for
   /// range, the running k-NN bound for later shards of a k-NN scatter
@@ -45,7 +45,7 @@ struct ShardExplainReport {
   size_t skipped = 0;
   double predicted_nodes = 0.0;  ///< Sum over dispatched shards.
   uint64_t actual_nodes = 0;
-  uint64_t actual_dists = 0;
+  uint64_t actual_dists = 0;     ///< Computed + avoided, pivots included.
   size_t results = 0;
   std::vector<ShardExplainRow> rows;
 };

@@ -316,7 +316,7 @@ class ShardRouter {
     if (stats != nullptr) *stats += local;
     if (row != nullptr) {
       row->actual_nodes = local.nodes_accessed;
-      row->actual_dists = local.distance_computations;
+      row->actual_dists = local.PricedDistances();
       row->results = results.size();
     }
     if (ObsEnabled()) nodes_counter_.Increment(local.nodes_accessed);
@@ -353,7 +353,7 @@ class ShardRouter {
     report->num_shards = index_.num_shards();
     report->predicted_nodes = plan.predicted_nodes;
     report->actual_nodes = stats.nodes_accessed;
-    report->actual_dists = stats.distance_computations;
+    report->actual_dists = stats.PricedDistances();
     for (const ShardExplainRow& row : report->rows) {
       if (row.dispatched) {
         ++report->dispatched;

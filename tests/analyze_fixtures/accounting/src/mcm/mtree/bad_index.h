@@ -14,7 +14,7 @@ class BadIndex {
   // evaluation to nobody.
   bool PruneUncharged(const Obj& a, const Obj& b, double r) {
     const auto eval = PrepareQuery(metric_, a);
-    return GuardedDistanceWithin(window_.LowerBound(0.0, {}), eval, b, r,
+    return GuardedDistanceWithin(window_.LowerBound({}), eval, b, r,
                                  nullptr);
   }
 
@@ -54,7 +54,7 @@ class BadIndex {
   double HandRolledGuard(const Obj& q, const Obj& x, double r,
                          QueryStats* st) {
     const auto eval = PrepareQuery(metric_, q);
-    if (window_.LowerBound(0.0, {}) > r) {
+    if (window_.LowerBound({}) > r) {
       ++st->distance_calcs_avoided_by_witness;
       return r + 1.0;
     }

@@ -255,12 +255,13 @@ TEST(CountInvariance, MTreeRangeAndKnnCountsAreBitIdentical) {
 }
 
 TEST(CountInvariance, MTreeOptimizedPruningCountsAreBitIdentical) {
+  // The parent-distance filter (the original M-tree's optimized pruning,
+  // always on) under L2, whose bounded kernel aborts mid-sum.
   const auto data = GenerateClustered(1500, 10, 43);
   const auto queries =
       GenerateVectorQueries(VectorDatasetKind::kClustered, 16, 10, 43);
   MTreeOptions options;
   options.seed = 43;
-  options.pruning = PruningMode::kOptimized;
   auto bounded_tree = MTree<VectorTraits<L2Distance>>::BulkLoad(
       data, L2Distance{}, options);
   auto full_tree = MTree<VectorTraits<FullOnly<L2Distance>>>::BulkLoad(

@@ -161,7 +161,6 @@ class ExecutorDeterminismTest : public ::testing::Test {
 TEST_F(ExecutorDeterminismTest, MTreeMemoryStore) {
   MTreeOptions options;
   options.seed = 42;
-  options.pruning = PruningMode::kOptimized;
   const auto tree = MTree<VecTraits>::BulkLoad(data_, LInfDistance{}, options);
   CheckBatchMatchesSequential(tree, queries_, 0.1, 5);
 }
@@ -188,7 +187,6 @@ TEST_F(ExecutorDeterminismTest, LinearScan) {
 TEST_F(ExecutorDeterminismTest, PagedMTreeConcurrentReads) {
   MTreeOptions options;
   options.seed = 42;
-  options.pruning = PruningMode::kOptimized;
   auto store = std::make_unique<PagedNodeStore<VecTraits>>(
       std::make_unique<InMemoryPageFile>(options.node_size_bytes),
       /*pool_frames=*/256);
@@ -225,7 +223,6 @@ TEST_F(ExecutorDeterminismTest, FileBackedMTreeConcurrentReads) {
   // recycled nodes.
   MTreeOptions options;
   options.seed = 42;
-  options.pruning = PruningMode::kOptimized;
   options.buffer_pool_frames = 16;
   test::ScopedTempDir dir;
   const std::string path = dir.File("tree.mtree");

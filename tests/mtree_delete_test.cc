@@ -1,12 +1,17 @@
 // Deletion tests: exact query answers against a linear scan of the
 // remaining objects, structural invariants after heavy deletion, root
-// collapse, and interleaved insert/delete workloads.
+// collapse (and regrowth past it), and interleaved insert/delete
+// workloads.
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "mcm/baseline/linear_scan.h"
 #include "mcm/dataset/text_datasets.h"
 #include "mcm/dataset/vector_datasets.h"
 #include "mcm/metric/traits.h"
@@ -107,6 +112,101 @@ TEST(MTreeDelete, RootCollapsesWhenSingleChildRemains) {
   const auto r = tree.KnnSearch(data.back(), 1);
   ASSERT_EQ(r.size(), 1u);
   EXPECT_EQ(r[0].oid, data.size() - 1);
+}
+
+/// The oids stored in the subtree at `id`.
+void CollectOids(const MTree<VecTraits>& tree, NodeId id,
+                 std::vector<uint64_t>* out) {
+  const auto node = tree.store().Read(id);
+  for (const auto& e : node.leaf_entries) out->push_back(e.oid);
+  for (const auto& e : node.routing_entries) CollectOids(tree, e.child, out);
+}
+
+/// Range (several radii) and k-NN answers of `tree` must equal a
+/// LinearScan over the objects it holds (`present`, oid = data index), and
+/// the structure must check clean.
+void ExpectAnswersLikeTheScan(const MTree<VecTraits>& tree,
+                              const std::vector<FloatVector>& data,
+                              const std::set<uint64_t>& present,
+                              const std::vector<FloatVector>& queries) {
+  const auto check = check::CheckMTree(tree);
+  ASSERT_TRUE(check.ok()) << check.Summary();
+  ASSERT_EQ(tree.size(), present.size());
+  // The scan numbers its objects 0..m-1; `oids` maps them back. Both
+  // increase together, so distance ties break the same way.
+  std::vector<FloatVector> objects;
+  const std::vector<uint64_t> oids(present.begin(), present.end());
+  for (const uint64_t oid : oids) objects.push_back(data[oid]);
+  const LinearScan<VecTraits> scan(objects, LInfDistance{});
+  const auto flatten = [](const auto& results,
+                          const std::vector<uint64_t>* map) {
+    std::vector<std::pair<uint64_t, double>> out;
+    for (const auto& r : results) {
+      out.emplace_back(map != nullptr ? (*map)[r.oid] : r.oid, r.distance);
+    }
+    return out;
+  };
+  for (const auto& q : queries) {
+    for (const double radius : {0.05, 0.1, 0.2, 0.4}) {
+      EXPECT_EQ(flatten(tree.RangeSearch(q, radius), nullptr),
+                flatten(scan.RangeSearch(q, radius), &oids))
+          << "radius " << radius;
+    }
+    for (const size_t k : {1u, 7u, 25u}) {
+      EXPECT_EQ(flatten(tree.KnnSearch(q, k), nullptr),
+                flatten(scan.KnnSearch(q, k), &oids))
+          << "k " << k;
+    }
+  }
+}
+
+TEST(MTreeDelete, RegrowsPastACollapsedRoot) {
+  // A collapsed root's entries keep the parent distances they had below
+  // the old root. The search's parent-distance filter must never read
+  // them there, before the root splits again or after.
+  MTreeOptions options;
+  options.node_size_bytes = 256;
+  const auto data = GenerateClustered(700, 4, 227);
+  const auto queries =
+      GenerateVectorQueries(VectorDatasetKind::kClustered, 12, 4, 227);
+  MTree<VecTraits> tree(LInfDistance{}, options);
+  std::set<uint64_t> present;
+  for (uint64_t i = 0; i < 500; ++i) {
+    tree.Insert(data[i], i);
+    present.insert(i);
+  }
+  const uint32_t grown_height = tree.height();
+  ASSERT_GE(grown_height, 3u);
+
+  // Delete every root subtree but the first: the root collapses onto it.
+  const auto root = tree.store().Read(tree.root());
+  ASSERT_GE(root.routing_entries.size(), 2u);
+  std::vector<uint64_t> doomed;
+  for (size_t c = 1; c < root.routing_entries.size(); ++c) {
+    CollectOids(tree, root.routing_entries[c].child, &doomed);
+  }
+  for (const uint64_t oid : doomed) {
+    ASSERT_TRUE(tree.Delete(data[oid], oid)) << oid;
+    present.erase(oid);
+  }
+  const uint32_t collapsed_height = tree.height();
+  ASSERT_LT(collapsed_height, grown_height);
+  ASSERT_GE(collapsed_height, 2u);  // The new root still has a parent level.
+  ExpectAnswersLikeTheScan(tree, data, present, queries);
+
+  // Insert until the root splits again.
+  for (uint64_t i = 500; i < data.size() && tree.height() <= collapsed_height;
+       ++i) {
+    tree.Insert(data[i], i);
+    present.insert(i);
+  }
+  for (size_t j = 0; j < doomed.size() && tree.height() <= collapsed_height;
+       ++j) {
+    tree.Insert(data[doomed[j]], doomed[j]);
+    present.insert(doomed[j]);
+  }
+  ASSERT_GT(tree.height(), collapsed_height);
+  ExpectAnswersLikeTheScan(tree, data, present, queries);
 }
 
 TEST(MTreeDelete, DuplicateObjectsDeleteByOid) {

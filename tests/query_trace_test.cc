@@ -107,9 +107,9 @@ TEST(QueryTraceMTreeTest, RangeQueryEmitsVisitsAndCoveringRadiusPrunes) {
   EXPECT_EQ(trace.total_visits(), stats.nodes_accessed);
   // Subtree prunes agree between the trace and the QueryStats counter.
   EXPECT_EQ(trace.total_prunes(), stats.nodes_pruned);
-  // A selective query on a multi-level tree must prune something, and on
-  // the basic pruning mode only the covering-radius test fires for
-  // subtrees (the parent filter prunes leaf *entries*).
+  // A selective query on a multi-level tree must prune something; range
+  // subtrees are cut by the covering-radius test or, before their routing
+  // distance is computed, by the parent filter.
   EXPECT_GT(stats.nodes_pruned, 0u);
   const auto& by_reason = trace.prunes_by_reason();
   uint64_t subtree_prunes =
@@ -172,24 +172,28 @@ TEST(QueryTraceMTreeTest, KnnRecordsKnnBoundPrunes) {
 }
 
 TEST(QueryTraceMTreeTest, ParentFilterPrunesInOptimizedMode) {
+  // The search always runs the parent filter (the original M-tree's
+  // optimized search). Entries it skips show up as entries_pruned in visit
+  // events and, one each, as avoided evaluations in QueryStats.
   const auto data = GenerateClustered(400, 5, 42);
   MTreeOptions options;
   options.seed = 42;
-  options.pruning = PruningMode::kOptimized;
   auto tree = MTree<Traits>::BulkLoad(data, LInfDistance{}, options);
   QueryTrace trace;
   QueryStats stats;
   stats.trace = &trace;
   tree.RangeSearch(data[0], 0.05, &stats);
   EXPECT_EQ(trace.total_prunes(), stats.nodes_pruned);
-  // In optimized mode leaf entries skipped by the parent filter show up as
-  // entries_pruned in visit events; distances equal entries actually
-  // computed, so scanned >= distances recorded per level.
   uint64_t entries_pruned = 0;
+  uint64_t distances = 0;
   for (const auto& tally : trace.levels()) {
     entries_pruned += tally.entries_pruned;
+    distances += tally.distances;
+    EXPECT_EQ(tally.witness_avoided, 0u);  // No cascade installed.
   }
   EXPECT_GT(entries_pruned, 0u);
+  EXPECT_EQ(entries_pruned, stats.distance_calcs_avoided_by_witness);
+  EXPECT_EQ(distances, stats.distance_computations);
 }
 
 TEST(QueryTraceVpTreeTest, ShellBoundPrunesAndStatsPopulated) {

@@ -64,7 +64,7 @@ TEST(ShapesIndex, CostModelTracksMeasurement) {
     QueryStats stats;
     tree.RangeSearch(q, radius, &stats);
     nodes += static_cast<double>(stats.nodes_accessed);
-    dists += static_cast<double>(stats.distance_computations);
+    dists += static_cast<double>(stats.PricedDistances());
   }
   nodes /= static_cast<double>(queries.size());
   dists /= static_cast<double>(queries.size());

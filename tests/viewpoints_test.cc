@@ -128,7 +128,8 @@ TEST(ViewpointSet, QuerySensitiveBeatsGlobalFOnNonHomogeneousData) {
   for (const auto& q : queries) {
     QueryStats qs;
     tree.RangeSearch(q, rq, &qs);
-    const double measured = static_cast<double>(qs.distance_computations);
+    // The model prices computed + avoided evaluations.
+    const double measured = static_cast<double>(qs.PricedDistances());
     const NodeBasedCostModel local_model(set.QueryDistribution(q), stats);
     global_err += RelativeError(global_model.RangeDistances(rq), measured);
     blended_err += RelativeError(local_model.RangeDistances(rq), measured);

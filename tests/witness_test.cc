@@ -1,9 +1,11 @@
 // Unit tests for the engine's witness bounds (engine/witness.h): capacity
-// resolution, the per-search witness path and its windows, triangle-
-// inequality lower bounds, and the two sanctioned prune-site entry points,
-// which evaluate through the query's evaluator (metric/prepared.h). A
-// property test holds the path against a local copy of the refcounted
-// chain it replaced.
+// resolution, the per-search witness path and its windows over the
+// ancestors above the parent, triangle-inequality lower bounds, the
+// avoided-evaluation charge, and the two sanctioned prune-site entry
+// points, which evaluate through the query's evaluator
+// (metric/prepared.h). A property test holds the parent filter followed by
+// the window against a local copy of the refcounted chain, which bounded
+// with the parent and the ancestors in one loop.
 
 #include "mcm/engine/witness.h"
 
@@ -21,12 +23,16 @@
 namespace mcm {
 namespace {
 
+using engine::ChargeAvoided;
 using engine::CountedDistanceWithin;
 using engine::GuardedDistanceWithin;
 using engine::kNoWitnessBound;
 using engine::ResolveWitnessCapacity;
 using engine::WitnessPath;
 using engine::WitnessWindow;
+
+// An entry's stored ancestor distances, by depth.
+using Stored = std::vector<double>;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
@@ -58,6 +64,9 @@ struct LedgeredMetric {
 // query, so it is a named object, not a temporary.
 const double kQuery = 1.0;
 
+// Number of ancestors a window consults.
+uint32_t Depths(const WitnessWindow& w) { return w.parent - w.first; }
+
 // Appends links with query distances dq[0], dq[1], ... (depths 0, 1, ...)
 // below the root and returns the deepest one: the link of the routing
 // object of a node at level dq.size() + 1.
@@ -86,70 +95,99 @@ TEST(ResolveWitnessCapacityTest, MinusOneDefersToEnvironment) {
 }
 
 TEST(WitnessPathTest, WindowLoadsTheNearestAncestorsByDepth) {
-  WitnessPath path(4);
-  const uint32_t link = AppendPath(&path, {10.0, 20.0, 30.0});  // level 4
-  const WitnessWindow all = path.Window(link, 4, 8);
-  ASSERT_EQ(all.count, 3u);
-  EXPECT_EQ(all.parent, 2u);
+  // A node at level 5: its parent routing object sits at depth 3 (the
+  // filter's witness), and the window holds the ancestors above it.
+  WitnessPath path(5);
+  const uint32_t link = AppendPath(&path, {10.0, 20.0, 30.0, 40.0});
+  const WitnessWindow all = path.Window(link, 5, 8);
+  ASSERT_EQ(Depths(all), 3u);
+  EXPECT_EQ(all.first, 0u);
+  EXPECT_EQ(all.parent, 3u);
   EXPECT_EQ(all.dq[0], 10.0);
   EXPECT_EQ(all.dq[1], 20.0);
   EXPECT_EQ(all.dq[2], 30.0);
 
-  const WitnessWindow two = path.Window(link, 4, 2);
-  EXPECT_EQ(two.count, 2u);
-  EXPECT_EQ(two.dq[1], 20.0);
-  EXPECT_EQ(two.dq[2], 30.0);
+  // Capacity 3 counts the parent: two ancestors above it.
+  const WitnessWindow three = path.Window(link, 5, 3);
+  EXPECT_EQ(Depths(three), 2u);
+  EXPECT_EQ(three.first, 1u);
+  EXPECT_EQ(three.dq[1], 20.0);
+  EXPECT_EQ(three.dq[2], 30.0);
 }
 
 TEST(WitnessPathTest, BranchesShareThePrefix) {
   WitnessPath path;  // unsized: the window grows on demand
   const uint32_t root = path.Append(WitnessPath::kNoLink, 1.0);
-  const uint32_t left = path.Append(root, 2.0);
-  const uint32_t right = path.Append(root, 3.0);
+  const uint32_t mid = path.Append(root, 2.0);
+  const uint32_t left = path.Append(mid, 3.0);
+  const uint32_t right = path.Append(root, 4.0);
+  const uint32_t right_low = path.Append(right, 5.0);
 
-  const WitnessWindow l = path.Window(left, 3, 8);
+  const WitnessWindow l = path.Window(left, 4, 8);
+  ASSERT_EQ(Depths(l), 2u);
   EXPECT_EQ(l.dq[0], 1.0);
   EXPECT_EQ(l.dq[1], 2.0);
-  const WitnessWindow r = path.Window(right, 3, 8);
+  const WitnessWindow r = path.Window(right_low, 4, 8);
+  ASSERT_EQ(Depths(r), 2u);
   EXPECT_EQ(r.dq[0], 1.0);
-  EXPECT_EQ(r.dq[1], 3.0);
+  EXPECT_EQ(r.dq[1], 4.0);
 }
 
 TEST(WitnessPathTest, RootAndCapacityZeroConsultNothing) {
-  WitnessPath path(2);
-  const uint32_t link = path.Append(WitnessPath::kNoLink, 100.0);
-  EXPECT_EQ(path.Window(WitnessPath::kNoLink, 1, 8).count, 0u);
-  const WitnessWindow none = path.Window(link, 2, 0);
-  EXPECT_EQ(none.count, 0u);
-  EXPECT_EQ(none.LowerBound(0.0, {}), kNoWitnessBound);
+  // The root and its children have no ancestor above the parent, and
+  // capacity 0 or 1 leaves the parent filter alone.
+  WitnessPath path(3);
+  const uint32_t top = path.Append(WitnessPath::kNoLink, 100.0);
+  const uint32_t link = path.Append(top, 50.0);
+  EXPECT_EQ(Depths(path.Window(WitnessPath::kNoLink, 1, 8)), 0u);
+  EXPECT_EQ(Depths(path.Window(top, 2, 8)), 0u);
+  EXPECT_EQ(Depths(path.Window(link, 3, 1)), 0u);
+  const WitnessWindow none = path.Window(link, 3, 0);
+  EXPECT_EQ(Depths(none), 0u);
+  EXPECT_EQ(none.LowerBound(Stored{0.0}), kNoWitnessBound);
+  EXPECT_EQ(Depths(path.Window(link, 3, 2)), 1u);
 }
 
 TEST(WitnessLowerBoundTest, TriangleBoundsFromPointDistances) {
-  // d(Q, parent) = 5; stored d(parent, o) = 1 -> lb = 4. The bound is
-  // symmetric: stored 9 with d(Q, parent) = 5 also gives 4.
+  // d(Q, grandparent) = 5; stored d(grandparent, o) = 1 -> lb = 4. The
+  // bound is symmetric: stored 9 with d(Q, grandparent) = 5 also gives 4.
   WitnessPath path;
-  const uint32_t link = path.Append(WitnessPath::kNoLink, 5.0);
-  const WitnessWindow w = path.Window(link, 2, 8);
-  EXPECT_DOUBLE_EQ(w.LowerBound(1.0, {}), 4.0);
-  EXPECT_DOUBLE_EQ(w.LowerBound(9.0, {}), 4.0);
+  const uint32_t link = AppendPath(&path, {5.0, 0.5});  // level 3
+  const WitnessWindow w = path.Window(link, 3, 8);
+  EXPECT_DOUBLE_EQ(w.LowerBound(Stored{1.0}), 4.0);
+  EXPECT_DOUBLE_EQ(w.LowerBound(Stored{9.0}), 4.0);
 }
 
 TEST(WitnessLowerBoundTest, TakesTheBestWitnessAndSkipsUnknown) {
   WitnessPath path;
-  const uint32_t link = AppendPath(&path, {10.0, 4.0, 3.0});  // level 4
-  const std::vector<double> ancestors = {2.0, kNaN};  // depth 1 unknown
-  // Depth 0: |10 - 2| = 8; depth 1: NaN, skipped; parent: |3 - 2| = 1.
-  EXPECT_DOUBLE_EQ(path.Window(link, 4, 8).LowerBound(2.0, ancestors), 8.0);
-  // Capacity 2 sees only depths 2 and 1.
-  EXPECT_DOUBLE_EQ(path.Window(link, 4, 2).LowerBound(2.0, ancestors), 1.0);
+  const uint32_t link = AppendPath(&path, {10.0, 4.0, 3.0, 1.0});  // level 5
+  const std::vector<double> ancestors = {2.0, kNaN, 1.0};  // depth 1 unknown
+  // Depth 0: |10 - 2| = 8; depth 1: NaN, skipped; depth 2: |3 - 1| = 2.
+  EXPECT_DOUBLE_EQ(path.Window(link, 5, 8).LowerBound(ancestors), 8.0);
+  // Capacity 2 sees only depth 2 above the parent.
+  EXPECT_DOUBLE_EQ(path.Window(link, 5, 2).LowerBound(ancestors), 2.0);
   // A shorter array leaves the deeper ancestors unknown.
-  EXPECT_DOUBLE_EQ(path.Window(link, 4, 8).LowerBound(2.0, {}), 1.0);
+  EXPECT_DOUBLE_EQ(path.Window(link, 5, 8).LowerBound(Stored{kNaN}), 0.0);
+  EXPECT_EQ(path.Window(link, 5, 8).LowerBound({}), kNoWitnessBound);
 }
 
 TEST(WitnessLowerBoundTest, NeverNegative) {
   WitnessPath path;
-  const uint32_t link = path.Append(WitnessPath::kNoLink, 1.0);
-  EXPECT_DOUBLE_EQ(path.Window(link, 2, 8).LowerBound(1.0, {}), 0.0);
+  const uint32_t link = AppendPath(&path, {1.0, 7.0});  // level 3
+  EXPECT_DOUBLE_EQ(path.Window(link, 3, 8).LowerBound(Stored{1.0}), 0.0);
+}
+
+TEST(ChargeAvoidedTest, ChargesStatsAndTheEvaluatorLedger) {
+  LedgeredMetric ledgered;
+  AbsMetric plain;
+  QueryStats st;
+  ChargeAvoided(PrepareQuery(ledgered, kQuery), &st);
+  ChargeAvoided(PrepareQuery(plain, kQuery), &st);
+  EXPECT_EQ(st.distance_calcs_avoided_by_witness, 2u);
+  EXPECT_EQ(st.distance_computations, 0u);
+  EXPECT_EQ(st.PricedDistances(), 2u);
+  EXPECT_EQ(ledgered.avoided, 1);
+  EXPECT_EQ(ledgered.calls + plain.calls, 0);
 }
 
 TEST(GuardedDistanceWithinTest, CapacityZeroAlwaysComputes) {
@@ -157,8 +195,8 @@ TEST(GuardedDistanceWithinTest, CapacityZeroAlwaysComputes) {
   QueryStats st;
   WitnessPath path;
   // Would prove d > bound if consulted.
-  const uint32_t link = path.Append(WitnessPath::kNoLink, 100.0);
-  const double lb = path.Window(link, 2, 0).LowerBound(0.0, {});
+  const uint32_t link = AppendPath(&path, {100.0, 100.0});
+  const double lb = path.Window(link, 3, 0).LowerBound(Stored{0.0});
   EXPECT_EQ(lb, kNoWitnessBound);
   const auto eval = PrepareQuery(metric, kQuery);
   EXPECT_DOUBLE_EQ(GuardedDistanceWithin(lb, eval, 2.0, 10.0, &st), 1.0);
@@ -213,9 +251,10 @@ TEST(CountedDistanceWithinTest, ChargesExactlyOneComputation) {
 }
 
 // The witness set the path replaced: an immutable, refcounted chain of
-// (depth, d(Q, w)) links, newest first, bounded through a stored(depth)
-// callback returning [lo, hi] intervals (NaN = unknown), and the guard
-// that consulted it only with capacity > 0 and a non-empty chain.
+// (depth, d(Q, w)) links, newest first (the parent first), bounded through
+// a stored(depth) callback returning [lo, hi] intervals (NaN = unknown),
+// and the guard that consulted it only with capacity > 0 and a non-empty
+// chain.
 struct ChainInterval {
   double lo = kNaN;
   double hi = kNaN;
@@ -323,36 +362,59 @@ TEST(WitnessPathProperty, MatchesTheRefcountedChainBitForBit) {
       return ChainInterval{};
     };
 
+    // The search's decision: below the root the parent-distance filter
+    // (always on) skips when |d(Q, parent) - d(parent, o)| > bound, then
+    // the window over the ancestors above the parent guards the call.
     // Where the chain's guard consulted a bound (capacity > 0, below the
-    // root) the bounds match bit for bit; elsewhere the window reports
-    // kNoWitnessBound, which never avoids, as that guard never did.
+    // root), max(parent term, window bound) matches its bound bit for bit
+    // and the two avoid exactly the same calls.
+    const bool below_root = chain != nullptr;
+    const double parent_term =
+        below_root ? std::fabs(dq.back() - parent_distance) : kNaN;
     for (const int capacity : capacities) {
       const double bound = AwkwardBound(rng);
-      const bool chain_consulted = capacity > 0 && chain != nullptr;
+      const bool chain_consulted = capacity > 0 && below_root;
       const double chain_lb = ChainLowerBound(chain, capacity, stored);
       const bool chain_avoids = chain_consulted && chain_lb > bound;
 
-      const double lb =
-          path.Window(link, level, capacity).LowerBound(parent_distance,
-                                                        ancestors);
+      const double window_lb =
+          path.Window(link, level, capacity).LowerBound(ancestors);
       if (chain_consulted) {
         ++consulted;
+        double lb = window_lb > 0.0 ? window_lb : 0.0;
+        if (parent_term > lb) lb = parent_term;
         ASSERT_EQ(std::bit_cast<uint64_t>(lb),
                   std::bit_cast<uint64_t>(chain_lb))
             << "trial " << trial << " level " << level << " capacity "
             << capacity << ": " << lb << " vs " << chain_lb;
       } else {
-        ASSERT_EQ(lb, kNoWitnessBound);
+        ASSERT_EQ(window_lb, kNoWitnessBound);
+      }
+
+      // A search never passes a negative bound. At every other bound the
+      // filter and the window avoid what the chain avoided, and the filter
+      // alone where the chain was off (capacity 0).
+      const bool avoids = parent_term > bound || window_lb > bound;
+      if (!(bound < 0.0)) {
+        ASSERT_EQ(avoids,
+                  chain_consulted ? chain_avoids : parent_term > bound)
+            << "trial " << trial << " capacity " << capacity << " bound "
+            << bound;
       }
 
       AbsMetric metric;
       QueryStats st;
-      GuardedDistanceWithin(lb, PrepareQuery(metric, kQuery), 2.0, bound, &st);
-      ASSERT_EQ(st.distance_calcs_avoided_by_witness, chain_avoids ? 1u : 0u)
+      const auto eval = PrepareQuery(metric, kQuery);
+      if (parent_term > bound) {
+        ChargeAvoided(eval, &st);
+      } else {
+        GuardedDistanceWithin(window_lb, eval, 2.0, bound, &st);
+      }
+      ASSERT_EQ(st.distance_calcs_avoided_by_witness, avoids ? 1u : 0u)
           << "trial " << trial << " capacity " << capacity << " bound "
           << bound;
-      ASSERT_EQ(st.distance_computations, chain_avoids ? 0u : 1u);
-      ASSERT_EQ(metric.calls, chain_avoids ? 0 : 1);
+      ASSERT_EQ(st.distance_computations, avoids ? 0u : 1u);
+      ASSERT_EQ(metric.calls, avoids ? 0 : 1);
       avoided += chain_avoids;
     }
   }

@@ -10,11 +10,11 @@
 //   mcm_check --selftest <dir>
 //       End-to-end proof that the checker detects corruption: builds a
 //       small L2 tree (witness cascade installed), saves it under <dir>,
-//       validates it (must be clean), shrinks a root covering radius
-//       directly in the page file and re-validates (must report
-//       covering-radius), then corrupts a persisted witness-cascade
-//       ancestor distance in a second copy (must report
-//       ancestor-distance). Exit 0 only when all phases behave.
+//       validates it (must be clean), then corrupts one value directly in
+//       the page file of a fresh copy each and re-validates: a root
+//       covering radius (must report covering-radius), a leaf entry's
+//       parent distance (parent-distance) and a witness-cascade ancestor
+//       distance (ancestor-distance). Exit 0 only when all phases behave.
 //
 //   mcm_check --bulk-selftest <dir>
 //       End-to-end proof of the out-of-core parallel bulk loader: streams
@@ -80,16 +80,63 @@ int ValidateIndex(const std::string& path, typename Traits::Metric metric,
   return Report(mcm::check::CheckMTree(tree, epsilon), path);
 }
 
-// Builds a small clustered L2 tree (root guaranteed internal at this size),
-// saves it, checks clean, corrupts a root covering radius in place, and
-// checks that the corruption is detected.
+using SelfTestTraits = mcm::VectorTraits<mcm::L2Distance>;
+
+// Saves `tree` to `path`, then rewrites on disk the first node, in
+// depth-first order from the root, that `mutate` changes (returns true
+// for). Returns false when it changed none.
+template <typename Mutate>
+bool SaveCorrupted(const mcm::MTree<SelfTestTraits>& tree,
+                   const std::string& path, Mutate&& mutate) {
+  mcm::SaveMTree(tree, path);
+  const auto meta = mcm::persist_internal::ReadMeta(path);
+  mcm::PagedNodeStore<SelfTestTraits> store(
+      std::make_unique<mcm::StdioPageFile>(
+          path, meta.node_size, mcm::StdioPageFile::Mode::kOpenExisting),
+      /*pool_frames=*/16);
+  store.RestoreNodeCount(meta.num_nodes);
+  std::vector<mcm::NodeId> pending{static_cast<mcm::NodeId>(meta.root)};
+  while (!pending.empty()) {
+    const mcm::NodeId id = pending.back();
+    pending.pop_back();
+    auto node = store.Read(id);
+    if (mutate(node)) {
+      store.Write(id, node);
+      store.Flush();
+      return true;
+    }
+    for (const auto& e : node.routing_entries) pending.push_back(e.child);
+  }
+  return false;
+}
+
+// Reopens `path` and requires CheckMTree to report `rule`.
+int ExpectDetected(const std::string& path,
+                   const mcm::MTreeOptions& options, const char* rule) {
+  auto corrupted =
+      mcm::OpenMTree<SelfTestTraits>(path, mcm::L2Distance{}, options);
+  const auto result = mcm::check::CheckMTree(corrupted);
+  if (result.ok() || !result.Has(rule)) {
+    std::fprintf(stderr, "selftest: %s corruption not detected (result: %s)\n",
+                 rule, result.Summary().c_str());
+    return 1;
+  }
+  std::printf("selftest: %s corruption detected: %s\n", rule,
+              result.Summary(2).c_str());
+  return 0;
+}
+
+// Builds a small clustered L2 tree (root guaranteed internal at this size)
+// with its witness cascade, saves it and checks clean, then corrupts one
+// stored value per fresh copy, on disk, and checks that each is detected:
+// a root covering radius, a leaf entry's parent distance (every search
+// below the root filters with these) and a cascade ancestor distance.
 int SelfTest(const std::string& dir) {
-  using Traits = mcm::VectorTraits<mcm::L2Distance>;
   const std::string path = dir + "/selftest.mtree";
 
   mcm::MTreeOptions options;
   options.node_size_bytes = 512;
-  mcm::MTree<Traits> tree{mcm::L2Distance{}, options};
+  mcm::MTree<SelfTestTraits> tree{mcm::L2Distance{}, options};
   const auto data = mcm::GenerateVectorDataset(
       mcm::VectorDatasetKind::kClustered, /*n=*/600, /*dim=*/4, /*seed=*/7);
   for (size_t i = 0; i < data.size(); ++i) {
@@ -102,7 +149,8 @@ int SelfTest(const std::string& dir) {
   mcm::SaveMTree(tree, path);
 
   {
-    auto reopened = mcm::OpenMTree<Traits>(path, mcm::L2Distance{}, options);
+    auto reopened =
+        mcm::OpenMTree<SelfTestTraits>(path, mcm::L2Distance{}, options);
     const auto healthy = mcm::check::CheckMTree(reopened);
     if (!healthy.ok()) {
       std::fprintf(stderr, "selftest: healthy tree reported %s\n",
@@ -111,97 +159,54 @@ int SelfTest(const std::string& dir) {
     }
   }
 
-  // Corrupt: shrink the first covering radius of the root node, on disk.
-  const auto meta = mcm::persist_internal::ReadMeta(path);
-  {
-    mcm::PagedNodeStore<Traits> store(
-        std::make_unique<mcm::StdioPageFile>(
-            path, options.node_size_bytes,
-            mcm::StdioPageFile::Mode::kOpenExisting),
-        /*pool_frames=*/16);
-    store.RestoreNodeCount(meta.num_nodes);
-    auto root = store.Read(static_cast<mcm::NodeId>(meta.root));
-    if (root.is_leaf || root.routing_entries.empty()) {
-      std::fprintf(stderr, "selftest: root is not an internal node\n");
-      return 1;
-    }
-    root.routing_entries[0].covering_radius *= 0.25;
-    store.Write(static_cast<mcm::NodeId>(meta.root), root);
-    store.Flush();
-  }
-
-  auto corrupted = mcm::OpenMTree<Traits>(path, mcm::L2Distance{}, options);
-  const auto result = mcm::check::CheckMTree(corrupted);
-  if (result.ok() || !result.Has("covering-radius")) {
-    std::fprintf(stderr,
-                 "selftest: corruption not detected (result: %s)\n",
-                 result.Summary().c_str());
+  // Shrink the first covering radius of the root node.
+  if (!SaveCorrupted(tree, path, [](auto& node) {
+        if (node.is_leaf || node.routing_entries.empty()) return false;
+        node.routing_entries[0].covering_radius *= 0.25;
+        return true;
+      })) {
+    std::fprintf(stderr, "selftest: root is not an internal node\n");
     return 1;
   }
-  std::printf("selftest: corruption detected: %s\n",
-              result.Summary(2).c_str());
+  if (const int rc = ExpectDetected(path, options, "covering-radius")) {
+    return rc;
+  }
 
-  // Phase 3: a fresh copy with one persisted witness-cascade ancestor
-  // distance perturbed must be flagged as ancestor-distance.
+  // Move one leaf entry's stored parent distance.
+  const std::string ppath = dir + "/selftest_parent.mtree";
+  if (!SaveCorrupted(tree, ppath, [](auto& node) {
+        if (node.leaf_entries.empty()) return false;
+        node.leaf_entries[0].parent_distance += 0.5;
+        return true;
+      })) {
+    std::fprintf(stderr, "selftest: no leaf entry to corrupt\n");
+    return 1;
+  }
+  if (const int rc = ExpectDetected(ppath, options, "parent-distance")) {
+    return rc;
+  }
+
+  // Perturb one persisted witness-cascade ancestor distance (depth >= 2
+  // exists whenever the tree has >= 3 levels).
   const std::string wpath = dir + "/selftest_witness.mtree";
-  mcm::SaveMTree(tree, wpath);
-  const auto wmeta = mcm::persist_internal::ReadMeta(wpath);
-  {
-    mcm::PagedNodeStore<Traits> store(
-        std::make_unique<mcm::StdioPageFile>(
-            wpath, options.node_size_bytes,
-            mcm::StdioPageFile::Mode::kOpenExisting),
-        /*pool_frames=*/16);
-    store.RestoreNodeCount(wmeta.num_nodes);
-    // Find a node holding a non-empty ancestor array (depth >= 2 exists
-    // whenever the tree has >= 3 levels) and perturb its first distance.
-    bool corrupted_one = false;
-    std::vector<mcm::NodeId> pending{static_cast<mcm::NodeId>(wmeta.root)};
-    while (!pending.empty() && !corrupted_one) {
-      const mcm::NodeId id = pending.back();
-      pending.pop_back();
-      auto node = store.Read(id);
-      for (auto& e : node.leaf_entries) {
-        if (!e.ancestor_distances.empty()) {
-          e.ancestor_distances[0] += 1.0;
-          corrupted_one = true;
-          break;
-        }
-      }
-      if (!corrupted_one) {
-        for (auto& e : node.routing_entries) {
-          if (!e.ancestor_distances.empty()) {
-            e.ancestor_distances[0] += 1.0;
-            corrupted_one = true;
-            break;
+  if (!SaveCorrupted(tree, wpath, [](auto& node) {
+        const auto perturb = [](auto& entries) {
+          for (auto& e : entries) {
+            if (!e.ancestor_distances.empty()) {
+              e.ancestor_distances[0] += 1.0;
+              return true;
+            }
           }
-          pending.push_back(e.child);
-        }
-      }
-      if (corrupted_one) {
-        store.Write(id, node);
-        store.Flush();
-      }
-    }
-    if (!corrupted_one) {
-      std::fprintf(stderr,
-                   "selftest: no persisted ancestor distances to corrupt "
-                   "(tree too shallow?)\n");
-      return 1;
-    }
-  }
-  auto wcorrupted = mcm::OpenMTree<Traits>(wpath, mcm::L2Distance{}, options);
-  const auto wresult = mcm::check::CheckMTree(wcorrupted);
-  if (wresult.ok() || !wresult.Has("ancestor-distance")) {
+          return false;
+        };
+        return perturb(node.leaf_entries) || perturb(node.routing_entries);
+      })) {
     std::fprintf(stderr,
-                 "selftest: ancestor-distance corruption not detected "
-                 "(result: %s)\n",
-                 wresult.Summary().c_str());
+                 "selftest: no persisted ancestor distances to corrupt "
+                 "(tree too shallow?)\n");
     return 1;
   }
-  std::printf("selftest: ancestor corruption detected: %s\n",
-              wresult.Summary(2).c_str());
-  return 0;
+  return ExpectDetected(wpath, options, "ancestor-distance");
 }
 
 // Streams 100k clustered vectors through the out-of-core loader into a

@@ -286,11 +286,11 @@ int CheckReport(const mcm::ExplainReport& report) {
   if (report.num_results == 0) return Fail("no results");
   uint64_t level_nodes = 0;
   uint64_t level_dists = 0;
-  uint64_t level_avoided = 0;
+  uint64_t level_priced = 0;
   for (const auto& a : report.level_actuals) {
     level_nodes += a.node_visits;
     level_dists += a.distances;
-    level_avoided += a.witness_avoided;
+    level_priced += a.distances + a.entries_pruned + a.witness_avoided;
   }
   if (level_nodes != report.stats.nodes_accessed) {
     return Fail("per-level node visits do not sum to the total");
@@ -298,8 +298,10 @@ int CheckReport(const mcm::ExplainReport& report) {
   if (level_dists != report.stats.distance_computations) {
     return Fail("per-level distances do not sum to the total");
   }
-  if (level_avoided != report.stats.distance_calcs_avoided_by_witness) {
-    return Fail("per-level witness avoidance does not sum to the total");
+  // Every filter or cascade skip is one avoided evaluation, so the priced
+  // per-level counts (computed + avoided) sum to the query's.
+  if (level_priced != report.stats.PricedDistances()) {
+    return Fail("per-level computed + avoided does not sum to the total");
   }
   if (report.access_path.empty()) return Fail("no access path");
   const auto parsed = mcm::ParseJson(mcm::RenderExplainJson(report));

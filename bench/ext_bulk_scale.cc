@@ -54,6 +54,7 @@
 #include "mcm/metric/traits.h"
 #include "mcm/mtree/bulk_stream.h"
 #include "mcm/obs/bench_observer.h"
+#include "mcm/obs/telemetry.h"
 #include "mcm/storage/io_stats.h"
 
 namespace {
@@ -252,30 +253,29 @@ QueryCosts RunQueries(BuildResult& built,
   QueryCosts costs;
   costs.logical.num_queries = queries.size();
   const auto before = mcm::CaptureIoStats(built.store->pool());
-  if (observer != nullptr && observer->enabled()) {
+  const bool observing = observer != nullptr && observer->enabled();
+  if (observing) {
     observer->BeginCase(label, params, std::move(predictions));
   }
-  for (const auto& q : queries) {
+  mcm::QueryTrace trace;
+  for (size_t i = 0; i < queries.size(); ++i) {
     built.store->pool().EvictAll();
+    const auto search = [&](mcm::QueryStats* st) {
+      return built.tree->RangeSearch(queries[i], kRadius, st);
+    };
     mcm::QueryStats stats;
-    mcm::Stopwatch watch;
-    const auto results = built.tree->RangeSearch(q, kRadius, &stats);
-    const double latency_us =
-        static_cast<double>(watch.ElapsedNanos()) / 1e3;
+    double latency_us = 0.0;
+    const auto results =
+        observing
+            ? mcm::RunObservedQuery(search, i, &trace, &stats, &latency_us)
+            : search(&stats);
     mcm::internal::Accumulate(stats, results.size(), &costs.logical);
-    if (observer != nullptr && observer->enabled()) {
-      mcm::QueryObservation obs;
-      obs.kind = "range";
-      obs.radius = kRadius;
-      obs.stats = stats;
-      obs.stats.trace = nullptr;
-      obs.stats.spans = nullptr;
-      obs.results = results.size();
-      obs.latency_us = latency_us;
-      observer->RecordQuery(obs);
+    if (observing) {
+      observer->RecordQuery(
+          {"range", kRadius, 0, stats, results.size(), latency_us, &trace});
     }
   }
-  if (observer != nullptr && observer->enabled()) {
+  if (observing) {
     observer->EndCase();
   }
   mcm::internal::FinishAverages(queries.size(), &costs.logical);

@@ -19,6 +19,7 @@
 #include "mcm/metric/traits.h"
 #include "mcm/mtree/bulk_load.h"
 #include "mcm/obs/bench_observer.h"
+#include "mcm/obs/telemetry.h"
 
 int main() {
   using namespace mcm;
@@ -34,6 +35,7 @@ int main() {
             << kDim << ", n=" << n << ", per-predicate radius " << kRadius
             << " ==\n\n";
   BenchObserver observer("ext_complex_queries");
+  QueryTrace trace;
   Stopwatch watch;
 
   const auto data = GenerateClustered(n, kDim, kSeed);
@@ -59,7 +61,6 @@ int main() {
       const std::string case_label = std::string(conjunctive ? "AND" : "OR") +
                                      "-m" + std::to_string(m);
       const bool observing = observer.enabled();
-      QueryTrace trace(observer.trace_capacity());
       if (observing) {
         observer.BeginCase(
             case_label,
@@ -75,28 +76,20 @@ int main() {
         for (size_t j = 0; j < m; ++j) {
           preds.push_back({queries[q + j], kRadius});
         }
+        const auto search = [&](QueryStats* st) {
+          return tree.ComplexRangeSearch(
+              preds, conjunctive ? Tree::Combine::kAnd : Tree::Combine::kOr,
+              st);
+        };
         QueryStats stats;
+        double latency_us = 0.0;
+        const auto result =
+            observing
+                ? RunObservedQuery(search, groups, &trace, &stats, &latency_us)
+                : search(&stats);
         if (observing) {
-          trace.Clear();
-          stats.trace = &trace;
-        }
-        Stopwatch query_watch;
-        const auto result = tree.ComplexRangeSearch(
-            preds, conjunctive ? Tree::Combine::kAnd : Tree::Combine::kOr,
-            &stats);
-        if (observing) {
-          QueryObservation obs;
-          obs.kind = "complex";
-          obs.radius = kRadius;
-          obs.stats = stats;
-          obs.stats.trace = nullptr;
-          obs.results = result.size();
-          obs.latency_us = query_watch.ElapsedSeconds() * 1e6;
-          obs.level_nodes = trace.LevelNodeVisits();
-          obs.prunes_by_reason = trace.prunes_by_reason();
-          obs.trace_dropped = trace.dropped();
-          if (observer.dump_events()) obs.events = trace.Events();
-          observer.RecordQuery(obs);
+          observer.RecordQuery({"complex", kRadius, 0, stats, result.size(),
+                                latency_us, &trace});
         }
         nodes += static_cast<double>(stats.nodes_accessed);
         dists += static_cast<double>(stats.distance_computations);

@@ -27,6 +27,7 @@
 #include "mcm/metric/traits.h"
 #include "mcm/mtree/bulk_load.h"
 #include "mcm/obs/bench_observer.h"
+#include "mcm/obs/telemetry.h"
 
 int main() {
   using namespace mcm;
@@ -37,7 +38,7 @@ int main() {
   constexpr uint64_t kSeed = 42;
 
   BenchObserver observer("ext_multi_viewpoint");
-  QueryTrace trace(observer.trace_capacity());
+  QueryTrace trace;
   Stopwatch watch;
   std::cout << "== Extension: multi-viewpoint cost model on a "
                "non-homogeneous space (future work #2) ==\n\n";
@@ -100,27 +101,19 @@ int main() {
               global_lmcm.RangeDistances(rq),
               global_lmcm.RangeNodesPerLevel(rq)}});
       }
-      for (const auto& q : c.queries) {
+      for (size_t i = 0; i < c.queries.size(); ++i) {
+        const auto& q = c.queries[i];
+        const auto search = [&](QueryStats* st) {
+          return tree.RangeSearch(q, rq, st);
+        };
         QueryStats qs;
+        double latency_us = 0.0;
+        const auto results =
+            observing ? RunObservedQuery(search, i, &trace, &qs, &latency_us)
+                      : search(&qs);
         if (observing) {
-          trace.Clear();
-          qs.trace = &trace;
-        }
-        Stopwatch query_watch;
-        const auto results = tree.RangeSearch(q, rq, &qs);
-        if (observing) {
-          QueryObservation obs;
-          obs.kind = "range";
-          obs.radius = rq;
-          obs.stats = qs;
-          obs.stats.trace = nullptr;
-          obs.results = results.size();
-          obs.latency_us = query_watch.ElapsedSeconds() * 1e6;
-          obs.level_nodes = trace.LevelNodeVisits();
-          obs.prunes_by_reason = trace.prunes_by_reason();
-          obs.trace_dropped = trace.dropped();
-          if (observer.dump_events()) obs.events = trace.Events();
-          observer.RecordQuery(obs);
+          observer.RecordQuery(
+              {"range", rq, 0, qs, results.size(), latency_us, &trace});
         }
         // The models price computed + avoided evaluations.
         const double cpu = static_cast<double>(qs.PricedDistances());

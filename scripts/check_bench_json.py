@@ -9,7 +9,10 @@ Two modes:
   check_bench_json.py --run BINARY --outdir DIR [--env K=V ...]
       Run a bench binary with MCM_OBS=1 and MCM_OBS_DIR=DIR (plus any extra
       --env overrides), then validate every BENCH_*.json it wrote. This is
-      what the `bench_json_schema` CTest runs.
+      what the `bench_json_schema` CTest runs. When the overrides set
+      MCM_TRACE_OUT, the Chrome trace written there is validated too: a
+      JSON array of complete events (ph "X", dur >= 0, integer tid,
+      args.query), with at least one span per query record.
 
 Schema (one JSON object per line; see DESIGN.md "Observability"):
   record=meta     bench, schema_version, trace_capacity
@@ -116,6 +119,7 @@ def check_record(path, lineno, rec):
 
 
 def check_file(path):
+    """Validates one artifact; returns (error count, query records)."""
     errors = 0
     records = {"meta": 0, "query": 0, "summary": 0, "metric": 0}
     with open(path, encoding="utf-8") as handle:
@@ -144,19 +148,48 @@ def check_file(path):
           f"(meta={records['meta']} query={records['query']} "
           f"summary={records['summary']} metric={records['metric']}), "
           f"{errors} error(s)")
+    return errors, records["query"]
+
+
+def check_chrome_trace(path, query_records):
+    """Validates the Chrome trace at `path`; returns the error count."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            events = json.load(handle)
+    except (OSError, json.JSONDecodeError) as exc:
+        return fail(path, 0, f"unreadable Chrome trace: {exc}")
+    if not isinstance(events, list):
+        return fail(path, 0, "Chrome trace is not a JSON array")
+    errors = 0
+    for index, event in enumerate(events):
+        where = f"event {index}"
+        if not isinstance(event, dict):
+            errors += fail(path, 0, f"{where} is not an object")
+            continue
+        if event.get("ph") != "X":
+            errors += fail(path, 0, f"{where}: ph is {event.get('ph')!r}")
+        dur = event.get("dur")
+        if isinstance(dur, bool) or not isinstance(dur, (int, float)) \
+                or dur < 0:
+            errors += fail(path, 0, f"{where}: dur {dur!r} is not >= 0")
+        tid = event.get("tid")
+        if isinstance(tid, bool) or not isinstance(tid, int):
+            errors += fail(path, 0, f"{where}: tid {tid!r} is no integer")
+        args = event.get("args")
+        if not isinstance(args, dict) or "query" not in args:
+            errors += fail(path, 0, f"{where}: args.query missing")
+    if len(events) < query_records:
+        errors += fail(path, 0, f"{len(events)} spans for {query_records} "
+                       f"query records")
+    print(f"{path}: {len(events)} spans for {query_records} query records, "
+          f"{errors} error(s)")
     return errors
 
 
-def run_and_collect(binary, outdir, extra_env):
+def run_and_collect(binary, outdir, env):
     os.makedirs(outdir, exist_ok=True)
     for stale in glob.glob(os.path.join(outdir, "BENCH_*.json")):
         os.remove(stale)
-    env = dict(os.environ)
-    env["MCM_OBS"] = "1"
-    env["MCM_OBS_DIR"] = outdir
-    for item in extra_env:
-        key, _, value = item.partition("=")
-        env[key] = value
     proc = subprocess.run([binary], env=env, stdout=subprocess.DEVNULL)
     if proc.returncode != 0:
         print(f"{binary}: exited with {proc.returncode}", file=sys.stderr)
@@ -180,8 +213,18 @@ def main():
     args = parser.parse_args()
 
     files = list(args.files)
+    trace_path = None
     if args.run:
-        artifacts = run_and_collect(args.run, args.outdir, args.env)
+        env = dict(os.environ)
+        env["MCM_OBS"] = "1"
+        env["MCM_OBS_DIR"] = args.outdir
+        for item in args.env:
+            key, _, value = item.partition("=")
+            env[key] = value
+        trace_path = env.get("MCM_TRACE_OUT") or None
+        if trace_path is not None and os.path.exists(trace_path):
+            os.remove(trace_path)
+        artifacts = run_and_collect(args.run, args.outdir, env)
         if artifacts is None:
             return 1
         files.extend(artifacts)
@@ -189,8 +232,13 @@ def main():
         parser.error("nothing to validate: pass FILEs or --run")
 
     errors = 0
+    query_records = 0
     for path in files:
-        errors += check_file(path)
+        file_errors, file_queries = check_file(path)
+        errors += file_errors
+        query_records += file_queries
+    if trace_path is not None:
+        errors += check_chrome_trace(trace_path, query_records)
     return 1 if errors else 0
 
 

@@ -1,11 +1,12 @@
 // Shared experiment harness: run a query workload against an index,
 // average the paper's cost counters, and format model-vs-measured rows.
 //
-// The observer-aware overloads additionally attach a QueryTrace to every
-// query and forward one QueryObservation per executed query to a
-// BenchObserver, which turns them into BENCH_<name>.json / .csv artifacts
-// (see obs/bench_observer.h). With observability disabled the overloads
-// fall back to the plain measurement loop.
+// The observer-aware overloads additionally run every query through
+// RunObservedQuery (obs/telemetry.h), which attaches a QueryTrace, and
+// forward one QueryObservation per executed query to a BenchObserver,
+// which turns them into the BENCH_<name>.json artifact (see
+// obs/bench_observer.h). With observability disabled the overloads fall
+// back to the plain measurement loop.
 
 #ifndef MCM_BENCH_UTIL_EXPERIMENT_H_
 #define MCM_BENCH_UTIL_EXPERIMENT_H_
@@ -16,11 +17,10 @@
 #include <utility>
 #include <vector>
 
+#include "mcm/common/numeric.h"
 #include "mcm/common/query_stats.h"
-#include "mcm/common/stopwatch.h"
 #include "mcm/engine/executor.h"
 #include "mcm/obs/bench_observer.h"
-#include "mcm/obs/phase.h"
 #include "mcm/obs/telemetry.h"
 #include "mcm/obs/trace.h"
 
@@ -70,28 +70,6 @@ inline void FinishAverages(size_t num_queries, MeasuredCosts* costs) {
   costs->avg_results /= n;
   costs->avg_kth_distance /= n;
   costs->avg_pruned /= n;
-}
-
-/// Builds the QueryObservation for one traced query.
-inline QueryObservation MakeObservation(const char* kind, double radius,
-                                        size_t k, const QueryStats& stats,
-                                        size_t results, double latency_us,
-                                        const QueryTrace& trace,
-                                        bool dump_events) {
-  QueryObservation obs;
-  obs.kind = kind;
-  obs.radius = radius;
-  obs.k = k;
-  obs.stats = stats;
-  obs.stats.trace = nullptr;  // The trace does not outlive this call.
-  obs.stats.spans = nullptr;  // Neither does the span log.
-  obs.results = results;
-  obs.latency_us = latency_us;
-  obs.level_nodes = trace.LevelNodeVisits();
-  obs.prunes_by_reason = trace.prunes_by_reason();
-  obs.trace_dropped = trace.dropped();
-  if (dump_events) obs.events = trace.Events();
-  return obs;
 }
 
 }  // namespace internal
@@ -147,25 +125,18 @@ MeasuredCosts MeasureRange(
   observer->BeginCase(label, params, std::move(predictions));
   MeasuredCosts costs;
   costs.num_queries = queries.size();
-  QueryTrace trace(observer->trace_capacity());
-  PhaseSpanLog spans;
-  size_t query_id = 0;
-  for (const Object& q : queries) {
-    trace.Clear();
-    spans.Clear();
+  QueryTrace trace;
+  for (size_t i = 0; i < queries.size(); ++i) {
     QueryStats stats;
-    stats.trace = &trace;
-    stats.spans = &spans;
-    Stopwatch watch;
-    const auto results = tree.RangeSearch(q, radius, &stats);
-    const double latency_us = watch.ElapsedSeconds() * 1e6;
+    double latency_us = 0.0;
+    const auto results = RunObservedQuery(
+        [&](QueryStats* st) {
+          return tree.RangeSearch(queries[i], radius, st);
+        },
+        i, &trace, &stats, &latency_us);
     internal::Accumulate(stats, results.size(), &costs);
-    ObservePhaseTimes(stats, query_id);
-    TelemetrySink::Global().Submit(spans, query_id);
-    ++query_id;
-    observer->RecordQuery(internal::MakeObservation(
-        "range", radius, 0, stats, results.size(), latency_us, trace,
-        observer->dump_events()));
+    observer->RecordQuery({"range", radius, 0, stats, results.size(),
+                           latency_us, &trace});
   }
   observer->EndCase();
   internal::FinishAverages(queries.size(), &costs);
@@ -185,28 +156,19 @@ MeasuredCosts MeasureKnn(
   observer->BeginCase(label, params, std::move(predictions));
   MeasuredCosts costs;
   costs.num_queries = queries.size();
-  QueryTrace trace(observer->trace_capacity());
-  PhaseSpanLog spans;
-  size_t query_id = 0;
-  for (const Object& q : queries) {
-    trace.Clear();
-    spans.Clear();
+  QueryTrace trace;
+  for (size_t i = 0; i < queries.size(); ++i) {
     QueryStats stats;
-    stats.trace = &trace;
-    stats.spans = &spans;
-    Stopwatch watch;
-    const auto results = tree.KnnSearch(q, k, &stats);
-    const double latency_us = watch.ElapsedSeconds() * 1e6;
+    double latency_us = 0.0;
+    const auto results = RunObservedQuery(
+        [&](QueryStats* st) { return tree.KnnSearch(queries[i], k, st); }, i,
+        &trace, &stats, &latency_us);
     internal::Accumulate(stats, results.size(), &costs);
     if (!results.empty()) {
       costs.avg_kth_distance += results.back().distance;
     }
-    ObservePhaseTimes(stats, query_id);
-    TelemetrySink::Global().Submit(spans, query_id);
-    ++query_id;
-    observer->RecordQuery(internal::MakeObservation(
-        "knn", 0.0, k, stats, results.size(), latency_us, trace,
-        observer->dump_events()));
+    observer->RecordQuery(
+        {"knn", 0.0, k, stats, results.size(), latency_us, &trace});
   }
   observer->EndCase();
   internal::FinishAverages(queries.size(), &costs);
@@ -228,21 +190,6 @@ struct ThroughputResult {
   double latency_p99_us = 0.0;
 };
 
-namespace internal {
-
-/// Nearest-rank quantile of an unsorted sample (copy is sorted locally).
-inline double LatencyQuantile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const double rank = p * static_cast<double>(values.size() - 1);
-  size_t index = static_cast<size_t>(rank);
-  if (index >= values.size() - 1) return values.back();
-  const double fraction = rank - static_cast<double>(index);
-  return values[index] * (1.0 - fraction) + values[index + 1] * fraction;
-}
-
-}  // namespace internal
-
 /// Answers the whole range workload through a BatchExecutor at
 /// `num_threads` workers and reports throughput. With an enabled observer,
 /// opens a case labelled `label` (params get "threads" and "qps" appended)
@@ -260,7 +207,7 @@ ThroughputResult MeasureRangeThroughput(
   options.num_threads = num_threads;
   const bool observed = observer != nullptr && observer->enabled();
   if (observed) {
-    options.trace_capacity = observer->trace_capacity();
+    options.trace_capacity = QueryTrace::kDefaultCapacity;
   }
   const engine::BatchExecutor<Index> executor(index, options);
   const auto batch = executor.RangeSearchBatch(queries, radius);
@@ -283,13 +230,10 @@ ThroughputResult MeasureRangeThroughput(
     params.emplace_back("threads", static_cast<double>(out.num_threads));
     params.emplace_back("qps", out.qps);
     observer->BeginCase(label, params, {});
-    const QueryTrace no_trace(1);  // When the observer traces 0 events.
     for (size_t i = 0; i < queries.size(); ++i) {
-      observer->RecordQuery(internal::MakeObservation(
-          "range", radius, 0, batch.per_query[i], batch.results[i].size(),
-          batch.latencies_us[i],
-          batch.traces.empty() ? no_trace : batch.traces[i],
-          observer->dump_events()));
+      observer->RecordQuery({"range", radius, 0, batch.per_query[i],
+                             batch.results[i].size(), batch.latencies_us[i],
+                             &batch.traces[i]});
     }
     observer->EndCase();
   }

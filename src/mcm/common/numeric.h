@@ -1,10 +1,12 @@
 // Numerical kernels used by the cost models: stable binomial tail
 // probabilities (Eq. 9 of the paper with n up to 10^6), log-space binomial
-// coefficients, and composite trapezoid integration on uniform grids.
+// coefficients, and composite trapezoid integration on uniform grids; plus
+// the one latency quantile the bench artifacts and harnesses report.
 
 #ifndef MCM_COMMON_NUMERIC_H_
 #define MCM_COMMON_NUMERIC_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -41,6 +43,23 @@ inline double Clamp(double x, double lo, double hi) {
 /// Relative error of an estimate against a reference value, |est-ref|/ref.
 /// Falls back to the absolute error when the reference is zero.
 double RelativeError(double estimate, double reference);
+
+namespace internal {
+
+/// Quantile `p` in [0, 1] of an unsorted sample (the copy is sorted
+/// locally), interpolated linearly between the two nearest ranks; 0 for an
+/// empty sample.
+inline double LatencyQuantile(std::vector<double> values, double p) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  const double rank = p * static_cast<double>(values.size() - 1);
+  size_t index = static_cast<size_t>(rank);
+  if (index >= values.size() - 1) return values.back();
+  const double fraction = rank - static_cast<double>(index);
+  return values[index] * (1.0 - fraction) + values[index + 1] * fraction;
+}
+
+}  // namespace internal
 
 }  // namespace mcm
 

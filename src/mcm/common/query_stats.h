@@ -11,8 +11,7 @@
 
 namespace mcm {
 
-class QueryTrace;    // obs/trace.h; queries run without it by default.
-class PhaseSpanLog;  // obs/phase.h; spans recorded only when attached.
+class QueryTrace;  // obs/trace.h; queries run without it by default.
 
 /// The named phases a query's wall-clock decomposes into. Used as indexes
 /// into QueryStats::phase_ns and as span labels in the Chrome-trace export.
@@ -57,13 +56,11 @@ struct QueryStats {
   std::array<uint64_t, kNumQueryPhases> phase_ns{};
 
   /// When non-null, search paths record per-node events (visits, prune
-  /// reasons, buffer fetches) into this trace. Owned by the caller; null
-  /// (the default) keeps the query path free of observability work.
+  /// reasons, buffer fetches) into this trace, and (with MCM_OBS on) phase
+  /// timers append their begin/end spans to it for the Chrome-trace
+  /// exporter. Owned by the caller; null (the default) keeps the query path
+  /// free of observability work.
   QueryTrace* trace = nullptr;
-
-  /// When non-null (and MCM_OBS is on), phase timers append begin/end spans
-  /// here for the Chrome-trace exporter. Owned by the caller.
-  PhaseSpanLog* spans = nullptr;
 
   /// Computed + avoided evaluations: the count the cost models price.
   uint64_t PricedDistances() const {
@@ -99,15 +96,13 @@ struct QueryStats {
   }
 };
 
-/// Zeroes the counters of `st` while preserving an attached trace and span
-/// log. Search entry points use this instead of `*st = QueryStats{}` so
-/// callers can attach observers before issuing the query.
+/// Zeroes the counters of `st` while preserving an attached trace. Search
+/// entry points use this instead of `*st = QueryStats{}` so callers can
+/// attach a trace before issuing the query.
 inline void ResetCounters(QueryStats* st) {
   QueryTrace* trace = st->trace;
-  PhaseSpanLog* spans = st->spans;
   *st = QueryStats{};
   st->trace = trace;
-  st->spans = spans;
 }
 
 }  // namespace mcm

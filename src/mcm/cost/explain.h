@@ -1,7 +1,10 @@
-// EXPLAIN driver: runs one range or k-NN query on an M-tree with full
-// instrumentation (trace, phase spans, wall clock) and pairs the measured
-// execution with the N-MCM / L-MCM predictions and the optimizer's
-// access-path decision, producing an obs/explain.h report.
+// EXPLAIN driver: runs one range or k-NN query on an M-tree through
+// RunObservedQuery (trace with phase spans, wall clock) and pairs the
+// measured execution with the N-MCM / L-MCM predictions and the
+// optimizer's access-path decision, producing an obs/explain.h report.
+// Planning is timed before the query and folded into its plan phase. The
+// models use their default grid refinement and the plan the paper's disk
+// costs.
 //
 // The tree parameter is duck-typed (CollectStats / RangeSearch / KnnSearch
 // / size / height / options / store) rather than constrained to MTree so
@@ -16,7 +19,6 @@
 #ifndef MCM_COST_EXPLAIN_H_
 #define MCM_COST_EXPLAIN_H_
 
-#include <algorithm>
 #include <concepts>
 #include <cstdint>
 #include <string>
@@ -30,45 +32,11 @@
 #include "mcm/cost/witness_model.h"
 #include "mcm/distribution/histogram.h"
 #include "mcm/obs/explain.h"
-#include "mcm/obs/phase.h"
 #include "mcm/obs/telemetry.h"
-#include "mcm/obs/trace.h"
 
 namespace mcm {
 
-/// Knobs of the explain driver.
-struct ExplainOptions {
-  /// Device parameters for the access-path decision (paper defaults).
-  DiskCostParameters disk;
-  /// Sequential-scan alternative. When num_objects == 0 it is derived from
-  /// the tree: n objects, data_bytes = num_nodes * node_size (the paged
-  /// file the index occupies — a fair streaming alternative).
-  SequentialScanProfile seq_profile;
-  size_t trace_capacity = QueryTrace::kDefaultCapacity;
-  size_t span_capacity = PhaseSpanLog::kDefaultCapacity;
-  size_t nn_grid_refinement = 8;
-  /// Query id used for histogram exemplars and the Chrome-trace lane args.
-  uint64_t query_id = 0;
-};
-
 namespace explain_internal {
-
-inline void FillActuals(const QueryTrace& trace, ExplainReport* report) {
-  const auto& levels = trace.levels();
-  report->level_actuals.resize(
-      std::max<size_t>(levels.size(), report->height));
-  for (size_t l = 0; l < levels.size(); ++l) {
-    auto& a = report->level_actuals[l];
-    a.node_visits = levels[l].node_visits;
-    a.distances = levels[l].distances;
-    a.entries_scanned = levels[l].entries_scanned;
-    a.entries_pruned = levels[l].entries_pruned;
-    a.subtree_prunes = levels[l].subtree_prunes;
-    a.witness_avoided = levels[l].witness_avoided;
-  }
-  report->prunes_by_reason = trace.prunes_by_reason();
-  report->trace_dropped = trace.dropped();
-}
 
 template <typename Tree>
 void FillShape(const Tree& tree, double d_plus, ExplainReport* report) {
@@ -79,49 +47,22 @@ void FillShape(const Tree& tree, double d_plus, ExplainReport* report) {
   report->d_plus = d_plus;
 }
 
-inline void FillPlan(const AccessPathDecision& decision,
-                     ExplainReport* report) {
+/// Prices the plan from N-MCM's prediction (the first in `report`)
+/// against streaming the pages the index occupies.
+template <typename Tree>
+void FillPlan(const Tree& tree, ExplainReport* report) {
+  SequentialScanProfile profile;
+  profile.num_objects = tree.size();
+  profile.data_bytes =
+      tree.store().NumNodes() * tree.options().node_size_bytes;
+  const AccessPathDecision decision = ChooseAccessPath(
+      DiskCostParameters{}, report->predictions[0].distances,
+      report->predictions[0].nodes, report->node_size_bytes, profile);
   report->access_path = decision.choice == AccessPath::kIndexScan
                             ? "index-scan"
                             : "sequential-scan";
   report->index_ms = decision.index_ms;
   report->sequential_ms = decision.sequential_ms;
-}
-
-template <typename Tree>
-SequentialScanProfile ResolveProfile(const Tree& tree,
-                                     const ExplainOptions& options) {
-  SequentialScanProfile profile = options.seq_profile;
-  if (profile.num_objects == 0) {
-    profile.num_objects = tree.size();
-    profile.data_bytes =
-        tree.store().NumNodes() * tree.options().node_size_bytes;
-  }
-  return profile;
-}
-
-/// Runs `run` instrumented and merges the separately measured planning
-/// time (ResetCounters inside the search entry point would wipe a kPlan
-/// span recorded up front, so the driver times planning outside the query
-/// and folds it in here).
-template <typename RunFn>
-void Execute(const RunFn& run, uint64_t plan_ns,
-             const ExplainOptions& options, ExplainReport* report) {
-  QueryTrace trace(options.trace_capacity);
-  PhaseSpanLog spans(options.span_capacity);
-  QueryStats stats;
-  stats.trace = &trace;
-  stats.spans = &spans;
-  Stopwatch watch;
-  report->num_results = run(&stats);
-  report->latency_us = static_cast<double>(watch.ElapsedNanos()) / 1e3;
-  stats.trace = nullptr;
-  stats.spans = nullptr;
-  stats.phase_ns[static_cast<size_t>(QueryPhase::kPlan)] += plan_ns;
-  report->stats = stats;
-  FillActuals(trace, report);
-  ObservePhaseTimes(stats, options.query_id);
-  TelemetrySink::Global().Submit(spans, options.query_id);
 }
 
 /// Trees that expose the engine's witness cascade state (MTree). The
@@ -177,18 +118,15 @@ void AddWitnessPrediction(const Tree& tree, const DistanceHistogram& histogram,
 template <typename Tree>
 ExplainReport ExplainRange(const Tree& tree,
                            const DistanceHistogram& histogram, double d_plus,
-                           const typename Tree::Object& query, double radius,
-                           const ExplainOptions& options = {}) {
+                           const typename Tree::Object& query, double radius) {
   ExplainReport report;
   report.kind = "range";
   report.radius = radius;
   explain_internal::FillShape(tree, d_plus, &report);
 
   Stopwatch plan_watch;
-  NodeBasedCostModel nmcm(histogram, tree.CollectStats(d_plus),
-                          options.nn_grid_refinement);
-  LevelBasedCostModel lmcm(histogram, nmcm.stats(),
-                           options.nn_grid_refinement);
+  NodeBasedCostModel nmcm(histogram, tree.CollectStats(d_plus));
+  LevelBasedCostModel lmcm(histogram, nmcm.stats());
   report.predictions.push_back(
       {"nmcm", nmcm.RangeNodes(radius), nmcm.RangeDistances(radius),
        nmcm.RangeNodesPerLevel(radius), nmcm.RangeDistancesPerLevel(radius)});
@@ -199,18 +137,15 @@ ExplainReport ExplainRange(const Tree& tree,
       tree, histogram, nmcm, radius, report.predictions[0].level_nodes,
       report.predictions[0].level_distances, report.predictions[0].nodes,
       &report);
-  const AccessPathDecision decision = ChooseAccessPath(
-      options.disk, report.predictions[0].distances,
-      report.predictions[0].nodes, report.node_size_bytes,
-      explain_internal::ResolveProfile(tree, options));
+  explain_internal::FillPlan(tree, &report);
   const uint64_t plan_ns = plan_watch.ElapsedNanos();
-  explain_internal::FillPlan(decision, &report);
 
-  explain_internal::Execute(
+  report.num_results = RunObservedQuery(
       [&](QueryStats* st) {
         return tree.RangeSearch(query, radius, st).size();
       },
-      plan_ns, options, &report);
+      /*query_id=*/0, &report.trace, &report.stats, &report.latency_us,
+      plan_ns);
   return report;
 }
 
@@ -218,17 +153,15 @@ ExplainReport ExplainRange(const Tree& tree,
 template <typename Tree>
 ExplainReport ExplainKnn(const Tree& tree, const DistanceHistogram& histogram,
                          double d_plus, const typename Tree::Object& query,
-                         size_t k, const ExplainOptions& options = {}) {
+                         size_t k) {
   ExplainReport report;
   report.kind = "knn";
   report.k = k;
   explain_internal::FillShape(tree, d_plus, &report);
 
   Stopwatch plan_watch;
-  NodeBasedCostModel nmcm(histogram, tree.CollectStats(d_plus),
-                          options.nn_grid_refinement);
-  LevelBasedCostModel lmcm(histogram, nmcm.stats(),
-                           options.nn_grid_refinement);
+  NodeBasedCostModel nmcm(histogram, tree.CollectStats(d_plus));
+  LevelBasedCostModel lmcm(histogram, nmcm.stats());
   report.predictions.push_back({"nmcm", nmcm.NnNodes(k), nmcm.NnDistances(k),
                                 nmcm.NnNodesPerLevel(k),
                                 nmcm.NnDistancesPerLevel(k)});
@@ -240,16 +173,13 @@ ExplainReport ExplainKnn(const Tree& tree, const DistanceHistogram& histogram,
       report.predictions[0].level_nodes,
       report.predictions[0].level_distances, report.predictions[0].nodes,
       &report);
-  const AccessPathDecision decision = ChooseAccessPath(
-      options.disk, report.predictions[0].distances,
-      report.predictions[0].nodes, report.node_size_bytes,
-      explain_internal::ResolveProfile(tree, options));
+  explain_internal::FillPlan(tree, &report);
   const uint64_t plan_ns = plan_watch.ElapsedNanos();
-  explain_internal::FillPlan(decision, &report);
 
-  explain_internal::Execute(
+  report.num_results = RunObservedQuery(
       [&](QueryStats* st) { return tree.KnnSearch(query, k, st).size(); },
-      plan_ns, options, &report);
+      /*query_id=*/0, &report.trace, &report.stats, &report.latency_us,
+      plan_ns);
   return report;
 }
 

@@ -9,9 +9,10 @@
 //
 // Thread count resolution: ExecutorOptions::num_threads, else the
 // MCM_THREADS environment variable, else the hardware concurrency.
-// Optional per-query trace buffers (ExecutorOptions::trace_capacity > 0)
-// are allocated one per query up front and merged deterministically by
-// query position — worker threads never share a trace.
+// Optional per-query traces (ExecutorOptions::trace_capacity > 0, or
+// MCM_OBS on with a Chrome-trace path configured) are allocated one per
+// query up front and merged deterministically by query position — worker
+// threads never share a trace.
 
 #ifndef MCM_ENGINE_EXECUTOR_H_
 #define MCM_ENGINE_EXECUTOR_H_
@@ -93,13 +94,11 @@ class ThreadPool {
 struct ExecutorOptions {
   /// Worker threads; 0 = MCM_THREADS env var, else hardware concurrency.
   size_t num_threads = 0;
-  /// When > 0, attach a QueryTrace of this ring capacity to every query.
+  /// When > 0, attach a QueryTrace of this capacity to every query. With
+  /// MCM_OBS on and MCM_TRACE_OUT configured, every query gets one anyway
+  /// (of the default capacity when this is 0), and the completed traces go
+  /// to TelemetrySink::Global() for the Chrome-trace export.
   size_t trace_capacity = 0;
-  /// When > 0 (and MCM_OBS is on), attach a PhaseSpanLog of this capacity
-  /// to every query and submit completed logs to TelemetrySink::Global()
-  /// for the Chrome-trace export. Span logs are also attached — with the
-  /// default capacity — whenever MCM_TRACE_OUT is configured.
-  size_t span_capacity = 0;
 };
 
 /// Everything a batch run produces. `results[i]` and `per_query[i]` belong
@@ -110,7 +109,6 @@ struct BatchResult {
   std::vector<QueryStats> per_query;
   QueryStats totals;
   std::vector<QueryTrace> traces;  ///< One per query when tracing is on.
-  std::vector<PhaseSpanLog> span_logs;  ///< One per query when spans are on.
   /// Per-query wall time in microseconds, measured on the worker that ran
   /// the query. Individual queries overlap, so these sum to more than
   /// wall_seconds under concurrency — they are the tail-latency signal
@@ -166,22 +164,12 @@ class BatchExecutor {
     BatchResult<Object> batch;
     batch.results.resize(queries.size());
     batch.per_query.resize(queries.size());
-    if (options_.trace_capacity > 0) {
-      batch.traces.reserve(queries.size());
-      for (size_t i = 0; i < queries.size(); ++i) {
-        batch.traces.emplace_back(options_.trace_capacity);
-      }
-    }
-    size_t span_capacity = options_.span_capacity;
-    if (span_capacity == 0 && !TraceOutPath().empty()) {
-      span_capacity = PhaseSpanLog::kDefaultCapacity;
-    }
-    const bool spans_on = ObsEnabled() && span_capacity > 0;
-    if (spans_on) {
-      batch.span_logs.reserve(queries.size());
-      for (size_t i = 0; i < queries.size(); ++i) {
-        batch.span_logs.emplace_back(span_capacity);
-      }
+    const bool export_spans = ObsEnabled() && !TraceOutPath().empty();
+    if (options_.trace_capacity > 0 || export_spans) {
+      batch.traces.assign(queries.size(),
+                          QueryTrace(options_.trace_capacity > 0
+                                         ? options_.trace_capacity
+                                         : QueryTrace::kDefaultCapacity));
     }
     batch.latencies_us.resize(queries.size(), 0.0);
     Stopwatch watch;
@@ -190,26 +178,22 @@ class BatchExecutor {
       if (!batch.traces.empty()) {
         st->trace = &batch.traces[i];
       }
-      if (!batch.span_logs.empty()) {
-        st->spans = &batch.span_logs[i];
-      }
       Stopwatch query_watch;
       batch.results[i] = fn(queries[i], st);
       batch.latencies_us[i] = query_watch.ElapsedSeconds() * 1e6;
       st->trace = nullptr;  // The trace lives in batch.traces, not here.
-      st->spans = nullptr;  // Likewise batch.span_logs.
     });
     batch.wall_seconds = watch.ElapsedSeconds();
     // Deterministic merge: fold per-query counters in query order.
     for (const QueryStats& st : batch.per_query) {
       batch.totals += st;
     }
-    if (spans_on) {
+    if (export_spans) {
       // Feed per-phase histograms and the Chrome-trace sink, in query
       // order so exports are deterministic given a serial schedule.
       for (size_t i = 0; i < queries.size(); ++i) {
         ObservePhaseTimes(batch.per_query[i], /*query_id=*/i);
-        TelemetrySink::Global().Submit(batch.span_logs[i], /*query_id=*/i);
+        TelemetrySink::Global().Submit(batch.traces[i], /*query_id=*/i);
       }
     }
     return batch;

@@ -1,11 +1,10 @@
 #include "mcm/obs/bench_observer.h"
 
-#include <algorithm>
-#include <cmath>
 #include <iostream>
 #include <sstream>
 
 #include "mcm/common/env.h"
+#include "mcm/common/numeric.h"
 #include "mcm/common/table_printer.h"
 #include "mcm/obs/export.h"
 #include "mcm/obs/metrics.h"
@@ -14,23 +13,6 @@
 namespace mcm {
 
 namespace {
-
-std::string GetEnvString(const char* name, const std::string& fallback) {
-  const char* raw = std::getenv(name);
-  return raw == nullptr || *raw == '\0' ? fallback : std::string(raw);
-}
-
-double SortedQuantile(std::vector<double> values, double p) {
-  if (values.empty()) {
-    return 0.0;
-  }
-  std::sort(values.begin(), values.end());
-  const double pos = p * static_cast<double>(values.size() - 1);
-  const size_t lo = static_cast<size_t>(std::floor(pos));
-  const size_t hi = std::min(lo + 1, values.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return values[lo] + frac * (values[hi] - values[lo]);
-}
 
 std::string PredictionsJson(const std::vector<CostPrediction>& predictions) {
   JsonObjectBuilder all;
@@ -73,18 +55,9 @@ BenchObserver::BenchObserver(const std::string& bench_name)
   if (!enabled_) {
     return;
   }
-  trace_capacity_ = static_cast<size_t>(GetEnvInt(
-      "MCM_OBS_TRACE_CAP",
-      static_cast<int64_t>(QueryTrace::kDefaultCapacity)));
-  dump_events_ = GetEnvInt("MCM_OBS_EVENTS", 0) != 0;
   const std::string dir = GetEnvString("MCM_OBS_DIR", ".");
   artifact_path_ = dir + "/BENCH_" + bench_name_ + ".json";
-  csv_path_ = dir + "/BENCH_" + bench_name_ + ".csv";
   jsonl_ = std::make_unique<JsonlWriter>(artifact_path_);
-  const std::vector<std::string> csv_header = {
-      "case",        "stream",      "count",          "mean_rel_err",
-      "p50_rel_err", "p95_rel_err", "mean_predicted", "mean_actual"};
-  csv_ = std::make_unique<CsvWriter>(csv_path_, csv_header);
   if (!jsonl_->ok()) {
     std::cerr << "BenchObserver: cannot open " << artifact_path_
               << "; observability disabled for this run\n";
@@ -95,7 +68,7 @@ BenchObserver::BenchObserver(const std::string& bench_name)
   meta.Add("record", "meta");
   meta.Add("bench", bench_name_);
   meta.Add("schema_version", 1);
-  meta.Add("trace_capacity", trace_capacity_);
+  meta.Add("trace_capacity", QueryTrace::kDefaultCapacity);
   jsonl_->WriteLine(meta.Build());
 }
 
@@ -151,6 +124,11 @@ void BenchObserver::RecordQuery(const QueryObservation& obs) {
   }
   latencies_us_.push_back(obs.latency_us);
 
+  // Per-level visits and prune reasons come from the trace; an untraced
+  // query reports none.
+  const QueryTrace untraced;
+  const QueryTrace& trace = obs.trace != nullptr ? *obs.trace : untraced;
+  const std::vector<double> level_nodes = trace.LevelNodeVisits();
   for (const auto& p : predictions_) {
     if (p.nodes >= 0.0) {
       residuals_.Stream(p.model + "/nodes")
@@ -162,7 +140,7 @@ void BenchObserver::RecordQuery(const QueryObservation& obs) {
           .Add(p.dists, static_cast<double>(obs.stats.PricedDistances()));
     }
     if (!p.level_nodes.empty()) {
-      residuals_.AddLevelSamples(p.model, p.level_nodes, obs.level_nodes);
+      residuals_.AddLevelSamples(p.model, p.level_nodes, level_nodes);
     }
   }
 
@@ -194,57 +172,21 @@ void BenchObserver::RecordQuery(const QueryObservation& obs) {
   rec.AddRaw("phase_us", PhaseUsJson(phase_us));
   // Always present (empty for flat structures) so every artifact matches
   // the query-record schema regardless of which bench produced it.
-  rec.AddNumberArray("level_nodes", obs.level_nodes);
+  rec.AddNumberArray("level_nodes", level_nodes);
   JsonObjectBuilder prunes;
   for (size_t i = 0; i < kNumPruneReasons; ++i) {
-    if (obs.prunes_by_reason[i] > 0) {
+    if (trace.prunes_by_reason()[i] > 0) {
       prunes.Add(ToString(static_cast<PruneReason>(i)),
-                 obs.prunes_by_reason[i]);
+                 trace.prunes_by_reason()[i]);
     }
   }
   rec.AddRaw("prunes", prunes.Build());  // "{}" when nothing was pruned.
   rec.AddRaw("pred", PredictionsJson(predictions_));  // "{}" when no models.
-  if (obs.trace_dropped > 0) {
-    rec.Add("trace_dropped", obs.trace_dropped);
+  if (trace.dropped() > 0) {
+    rec.Add("trace_dropped", trace.dropped());
     MetricsRegistry::Global()
         .GetCounter("mcm.obs.trace_dropped_events")
-        .Increment(obs.trace_dropped);
-  }
-  if (dump_events_ && !obs.events.empty()) {
-    std::string events = "[";
-    for (size_t i = 0; i < obs.events.size(); ++i) {
-      const TraceEvent& e = obs.events[i];
-      if (i > 0) events += ",";
-      JsonObjectBuilder ev;
-      switch (e.kind) {
-        case TraceEventKind::kNodeVisit:
-          ev.Add("ev", "visit");
-          ev.Add("node", e.node);
-          ev.Add("level", static_cast<uint64_t>(e.level));
-          ev.Add("scanned", static_cast<uint64_t>(e.entries_scanned));
-          ev.Add("entry_pruned", static_cast<uint64_t>(e.entries_pruned));
-          ev.Add("dists", static_cast<uint64_t>(e.distances));
-          if (e.witness_avoided > 0) {
-            ev.Add("witness_avoided",
-                   static_cast<uint64_t>(e.witness_avoided));
-          }
-          break;
-        case TraceEventKind::kPrune:
-          ev.Add("ev", "prune");
-          ev.Add("node", e.node);
-          ev.Add("level", static_cast<uint64_t>(e.level));
-          ev.Add("reason", ToString(e.reason));
-          break;
-        case TraceEventKind::kBufferFetch:
-          ev.Add("ev", "fetch");
-          ev.Add("node", e.node);
-          ev.Add("hit", e.buffer_hit);
-          break;
-      }
-      events += ev.Build();
-    }
-    events += "]";
-    rec.AddRaw("events", events);
+        .Increment(trace.dropped());
   }
   jsonl_->WriteLine(rec.Build());
 }
@@ -279,9 +221,9 @@ void BenchObserver::WriteSummaryRecord() {
                 ? 1.0
                 : static_cast<double>(latencies_us_.size());
     lat.Add("mean", mean);
-    lat.Add("p50", SortedQuantile(latencies_us_, 0.50));
-    lat.Add("p95", SortedQuantile(latencies_us_, 0.95));
-    lat.Add("p99", SortedQuantile(latencies_us_, 0.99));
+    lat.Add("p50", internal::LatencyQuantile(latencies_us_, 0.50));
+    lat.Add("p95", internal::LatencyQuantile(latencies_us_, 0.95));
+    lat.Add("p99", internal::LatencyQuantile(latencies_us_, 0.99));
     rec.AddRaw("latency_us", lat.Build());
   }
   {
@@ -310,15 +252,6 @@ void BenchObserver::EndCase() {
   WriteSummaryRecord();
 
   const std::vector<std::string> names = residuals_.Names();
-  for (const std::string& name : names) {
-    const ResidualStats s = residuals_.StatsFor(name);
-    csv_->WriteRow({case_label_, name, std::to_string(s.count),
-                    TablePrinter::Num(s.mean_rel_err, 4),
-                    TablePrinter::Num(s.p50_rel_err, 4),
-                    TablePrinter::Num(s.p95_rel_err, 4),
-                    TablePrinter::Num(s.mean_predicted, 2),
-                    TablePrinter::Num(s.mean_actual, 2)});
-  }
   if (!names.empty()) {
     TablePrinter table({"residual stream", "n", "mean err%", "p50%", "p95%",
                         "bias%", "pred", "actual"});

@@ -1,15 +1,13 @@
 // BenchObserver: the bench-side entry point of the observability layer.
-// When MCM_OBS=1 it opens BENCH_<name>.json (JSON Lines) and BENCH_<name>.csv
-// in MCM_OBS_DIR (default "."), records one JSON record per executed query
-// (actual counters, per-level node visits, prune breakdown, buffer hits,
-// latency, and each cost model's prediction), accumulates predicted-vs-
-// actual residuals, and emits one summary record per case plus a
-// human-readable residual table. When MCM_OBS is unset every method is an
-// immediate no-op, so benches can call it unconditionally.
+// When MCM_OBS=1 it opens BENCH_<name>.json (JSON Lines) in MCM_OBS_DIR
+// (default "."), records one JSON record per executed query (actual
+// counters, per-level node visits, prune breakdown, buffer hits, latency,
+// and each cost model's prediction), accumulates predicted-vs-actual
+// residuals, and emits one summary record per case plus a human-readable
+// residual table. When MCM_OBS is unset every method is an immediate
+// no-op, so benches can call it unconditionally.
 //
-// Env knobs: MCM_OBS (off by default), MCM_OBS_DIR (artifact directory),
-// MCM_OBS_TRACE_CAP (trace ring capacity, default 4096), MCM_OBS_EVENTS=1
-// (also dump raw trace events per query — verbose).
+// Env knobs: MCM_OBS (off by default), MCM_OBS_DIR (artifact directory).
 
 #ifndef MCM_OBS_BENCH_OBSERVER_H_
 #define MCM_OBS_BENCH_OBSERVER_H_
@@ -26,7 +24,6 @@
 namespace mcm {
 
 class JsonlWriter;
-class CsvWriter;
 
 /// One cost model's prediction for the current case's query workload.
 struct CostPrediction {
@@ -45,10 +42,9 @@ struct QueryObservation {
   QueryStats stats;
   size_t results = 0;
   double latency_us = 0.0;
-  std::vector<double> level_nodes;  ///< Actual node visits per level.
-  std::array<uint64_t, kNumPruneReasons> prunes_by_reason{};
-  std::vector<TraceEvent> events;   ///< Only when event dumping is on.
-  uint64_t trace_dropped = 0;
+  /// The query's trace (per-level visits, prune reasons, drops); null when
+  /// the query ran untraced. Read only during RecordQuery.
+  const QueryTrace* trace = nullptr;
 };
 
 class BenchObserver {
@@ -63,12 +59,6 @@ class BenchObserver {
 
   bool enabled() const { return enabled_; }
 
-  /// Ring capacity for traces attached to observed queries.
-  size_t trace_capacity() const { return trace_capacity_; }
-
-  /// Whether raw trace events should be collected into observations.
-  bool dump_events() const { return dump_events_; }
-
   /// Starts a workload case (e.g. "D=10"). `params` are echoed into every
   /// record of the case; `predictions` seed the residual streams.
   void BeginCase(const std::string& label,
@@ -78,27 +68,22 @@ class BenchObserver {
   /// Records one executed query of the open case.
   void RecordQuery(const QueryObservation& obs);
 
-  /// Closes the open case: writes its summary record and CSV rows, and
-  /// prints the residual table to stdout.
+  /// Closes the open case: writes its summary record and prints the
+  /// residual table to stdout.
   void EndCase();
 
   /// Flushes everything (also ends an open case). Called by the destructor.
   void Finish();
 
   const std::string& artifact_path() const { return artifact_path_; }
-  const std::string& csv_path() const { return csv_path_; }
 
  private:
   void WriteSummaryRecord();
 
   bool enabled_ = false;
-  bool dump_events_ = false;
-  size_t trace_capacity_ = QueryTrace::kDefaultCapacity;
   std::string bench_name_;
   std::string artifact_path_;
-  std::string csv_path_;
   std::unique_ptr<JsonlWriter> jsonl_;
-  std::unique_ptr<CsvWriter> csv_;
 
   // Open-case state.
   bool case_open_ = false;

@@ -1,5 +1,6 @@
 #include "mcm/obs/explain.h"
 
+#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -30,6 +31,16 @@ double LevelValue(const std::vector<double>& values, size_t idx) {
 }
 
 }  // namespace
+
+TraceLevelTally ExplainReport::LevelActual(size_t level) const {
+  const auto& levels = trace.levels();
+  return level >= 1 && level <= levels.size() ? levels[level - 1]
+                                              : TraceLevelTally{};
+}
+
+size_t ExplainReport::NumLevels() const {
+  return std::max<size_t>(trace.levels().size(), height);
+}
 
 std::string RenderExplainText(const ExplainReport& report) {
   std::ostringstream out;
@@ -82,9 +93,8 @@ std::string RenderExplainText(const ExplainReport& report) {
     header.push_back("dists actual");
     header.push_back("avoided");
     TablePrinter levels(std::move(header));
-    const size_t height = report.level_actuals.size();
-    for (size_t l = 0; l < height; ++l) {
-      const auto& actual = report.level_actuals[l];
+    for (size_t l = 0; l < report.NumLevels(); ++l) {
+      const TraceLevelTally actual = report.LevelActual(l + 1);
       const double n_nodes =
           nmcm != nullptr ? LevelValue(nmcm->level_nodes, l) : 0.0;
       const double l_nodes =
@@ -115,9 +125,10 @@ std::string RenderExplainText(const ExplainReport& report) {
 
   out << "\nprune reasons:\n";
   for (size_t i = 0; i < kNumPruneReasons; ++i) {
-    if (report.prunes_by_reason[i] == 0) continue;
-    out << "  " << ToString(static_cast<PruneReason>(i)) << ": "
-        << report.prunes_by_reason[i] << "\n";
+    const uint64_t count = report.trace.prunes_by_reason()[i];
+    if (count == 0) continue;
+    out << "  " << ToString(static_cast<PruneReason>(i)) << ": " << count
+        << "\n";
   }
 
   out << "\nphase times:\n";
@@ -147,8 +158,8 @@ std::string RenderExplainText(const ExplainReport& report) {
   out << "  distances computed/avoided: "
       << report.stats.distance_computations << "/"
       << report.stats.distance_calcs_avoided_by_witness;
-  if (report.trace_dropped > 0) {
-    out << "  (trace dropped " << report.trace_dropped << " events)";
+  if (report.trace.dropped() > 0) {
+    out << "  (trace dropped " << report.trace.dropped() << " events)";
   }
   out << "\n";
   return out.str();
@@ -211,8 +222,8 @@ std::string RenderExplainJson(const ExplainReport& report) {
     actual.Add("results", static_cast<uint64_t>(report.num_results));
     actual.Add("latency_us", report.latency_us);
     std::string levels = "[";
-    for (size_t l = 0; l < report.level_actuals.size(); ++l) {
-      const auto& a = report.level_actuals[l];
+    for (size_t l = 0; l < report.NumLevels(); ++l) {
+      const TraceLevelTally a = report.LevelActual(l + 1);
       if (l > 0) levels += ",";
       JsonObjectBuilder level;
       level.Add("level", static_cast<uint64_t>(l + 1));
@@ -228,12 +239,12 @@ std::string RenderExplainJson(const ExplainReport& report) {
     actual.AddRaw("levels", levels);
     JsonObjectBuilder prunes;
     for (size_t i = 0; i < kNumPruneReasons; ++i) {
-      if (report.prunes_by_reason[i] == 0) continue;
-      prunes.Add(ToString(static_cast<PruneReason>(i)),
-                 report.prunes_by_reason[i]);
+      const uint64_t count = report.trace.prunes_by_reason()[i];
+      if (count == 0) continue;
+      prunes.Add(ToString(static_cast<PruneReason>(i)), count);
     }
     actual.AddRaw("prunes", prunes.Build());
-    actual.Add("trace_dropped", report.trace_dropped);
+    actual.Add("trace_dropped", report.trace.dropped());
     root.AddRaw("actual", actual.Build());
   }
 

@@ -9,7 +9,6 @@
 #ifndef MCM_OBS_EXPLAIN_H_
 #define MCM_OBS_EXPLAIN_H_
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -27,16 +26,6 @@ struct ExplainModelPrediction {
   double distances = 0.0;   ///< Expected distance computations.
   std::vector<double> level_nodes;      ///< Index l-1 = level l (root = 1).
   std::vector<double> level_distances;  ///< Same layout.
-};
-
-/// Measured per-level tallies (from the query's trace).
-struct ExplainLevelActual {
-  uint64_t node_visits = 0;
-  uint64_t distances = 0;        ///< Computed evaluations.
-  uint64_t entries_scanned = 0;
-  uint64_t entries_pruned = 0;   ///< Entries the parent filter skipped.
-  uint64_t subtree_prunes = 0;
-  uint64_t witness_avoided = 0;  ///< Evaluations cut by the witness cascade.
 };
 
 /// The full predicted-vs-actual story of one query execution.
@@ -65,9 +54,15 @@ struct ExplainReport {
   QueryStats stats;          ///< Counters + per-phase nanoseconds.
   size_t num_results = 0;
   double latency_us = 0.0;   ///< Wall time of the query call.
-  std::vector<ExplainLevelActual> level_actuals;  ///< Index l-1 = level l.
-  std::array<uint64_t, kNumPruneReasons> prunes_by_reason{};
-  uint64_t trace_dropped = 0;
+  QueryTrace trace;          ///< Per-level tallies, prune reasons, spans.
+
+  /// Measured tallies of level `level` (root = 1); zero for a level the
+  /// query never reached.
+  TraceLevelTally LevelActual(size_t level) const;
+
+  /// Levels the per-level tables report: the tree's height, or more if
+  /// the trace saw more.
+  size_t NumLevels() const;
 };
 
 /// Human-readable rendering: summary lines plus aligned per-level and

@@ -143,56 +143,6 @@ void JsonlWriter::Flush() {
   }
 }
 
-namespace {
-
-std::string CsvQuote(const std::string& cell) {
-  if (cell.find_first_of(",\"\n\r") == std::string::npos) {
-    return cell;
-  }
-  std::string out = "\"";
-  for (const char c : cell) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace
-
-CsvWriter::CsvWriter(const std::string& path,
-                     const std::vector<std::string>& header)
-    : path_(path),
-      file_(std::fopen(path.c_str(), "w")),
-      width_(header.size()) {
-  WriteCells(header);
-}
-
-CsvWriter::~CsvWriter() {
-  if (file_ != nullptr) {
-    std::fclose(file_);
-  }
-}
-
-void CsvWriter::WriteRow(const std::vector<std::string>& cells) {
-  std::vector<std::string> padded = cells;
-  padded.resize(width_);
-  WriteCells(padded);
-}
-
-void CsvWriter::WriteCells(const std::vector<std::string>& cells) {
-  if (file_ == nullptr) {
-    return;
-  }
-  std::string line;
-  for (size_t i = 0; i < cells.size(); ++i) {
-    if (i > 0) line += ",";
-    line += CsvQuote(cells[i]);
-  }
-  line += "\n";
-  std::fwrite(line.data(), 1, line.size(), file_);
-}
-
 const JsonValue* JsonValue::Find(const std::string& key) const {
   if (kind != Kind::kObject) {
     return nullptr;

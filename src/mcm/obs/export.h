@@ -1,5 +1,5 @@
 // Machine-readable sinks for the observability layer: a small JSON object
-// builder, JSON Lines / CSV file writers, and a minimal JSON parser used to
+// builder, a JSON Lines file writer, and a minimal JSON parser used to
 // validate emitted artifacts (tests and the bench self-check round-trip
 // every record through it).
 
@@ -66,29 +66,6 @@ class JsonlWriter {
   std::string path_;
   std::FILE* file_ = nullptr;
   size_t lines_ = 0;
-};
-
-/// Writes CSV rows with a fixed header; cells containing separators or
-/// quotes are quoted per RFC 4180.
-class CsvWriter {
- public:
-  CsvWriter(const std::string& path, const std::vector<std::string>& header);
-  ~CsvWriter();
-
-  CsvWriter(const CsvWriter&) = delete;
-  CsvWriter& operator=(const CsvWriter&) = delete;
-
-  /// Pads or truncates `cells` to the header width.
-  void WriteRow(const std::vector<std::string>& cells);
-  bool ok() const { return file_ != nullptr; }
-  const std::string& path() const { return path_; }
-
- private:
-  void WriteCells(const std::vector<std::string>& cells);
-
-  std::string path_;
-  std::FILE* file_ = nullptr;
-  size_t width_ = 0;
 };
 
 /// Parsed JSON value (null, bool, number, string, array, object). Only what

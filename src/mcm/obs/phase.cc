@@ -1,7 +1,5 @@
 #include "mcm/obs/phase.h"
 
-#include <atomic>
-
 namespace mcm {
 
 const char* ToString(QueryPhase phase) {
@@ -22,13 +20,6 @@ const char* ToString(QueryPhase phase) {
       return "prefetch";
   }
   return "unknown";
-}
-
-uint32_t CurrentThreadLane() {
-  static std::atomic<uint32_t> next_lane{0};
-  thread_local const uint32_t lane =
-      next_lane.fetch_add(1, std::memory_order_relaxed);
-  return lane;
 }
 
 std::string PhaseHistogramName(QueryPhase phase) {

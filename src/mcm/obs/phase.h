@@ -1,8 +1,9 @@
 // Phase timers: ScopedSpan stamps a QueryPhase interval into
-// QueryStats::phase_ns (and, when a PhaseSpanLog is attached, appends a
-// begin/end span for the Chrome-trace exporter). Everything is gated on
-// ObsEnabled(): with MCM_OBS off a span costs one cached branch and never
-// touches the clock, so query answers and counters stay bit-identical.
+// QueryStats::phase_ns (and, when a QueryTrace is attached, appends a
+// begin/end span to it for the Chrome-trace exporter). Everything is gated
+// on ObsEnabled(): with MCM_OBS off a span costs one cached branch and
+// never touches the clock, so query answers and counters stay
+// bit-identical.
 
 #ifndef MCM_OBS_PHASE_H_
 #define MCM_OBS_PHASE_H_
@@ -10,64 +11,18 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "mcm/common/clock.h"
 #include "mcm/common/query_stats.h"
 #include "mcm/obs/metrics.h"
+#include "mcm/obs/trace.h"
 
 namespace mcm {
-
-/// One completed phase interval. Timestamps are MonotonicNanos() values;
-/// `lane` is a small dense id for the recording thread (Chrome-trace tid).
-struct PhaseSpan {
-  QueryPhase phase = QueryPhase::kPlan;
-  uint64_t start_ns = 0;
-  uint64_t end_ns = 0;
-  uint32_t lane = 0;
-};
-
-/// A small dense id for the calling thread, stable for the thread's
-/// lifetime. Used as the Chrome-trace thread lane.
-uint32_t CurrentThreadLane();
-
-/// Capped append-only log of completed spans for one query. Not
-/// thread-safe: each query owns its log (the batch executor hands every
-/// worker its own slot).
-class PhaseSpanLog {
- public:
-  static constexpr size_t kDefaultCapacity = 4096;
-
-  explicit PhaseSpanLog(size_t capacity = kDefaultCapacity)
-      : capacity_(capacity) {}
-
-  void Append(QueryPhase phase, uint64_t start_ns, uint64_t end_ns) {
-    if (spans_.size() >= capacity_) {
-      ++dropped_;
-      return;
-    }
-    spans_.push_back(PhaseSpan{phase, start_ns, end_ns, CurrentThreadLane()});
-  }
-
-  void Clear() {
-    spans_.clear();
-    dropped_ = 0;
-  }
-
-  const std::vector<PhaseSpan>& spans() const { return spans_; }
-  uint64_t dropped() const { return dropped_; }
-  size_t capacity() const { return capacity_; }
-
- private:
-  size_t capacity_;
-  std::vector<PhaseSpan> spans_;
-  uint64_t dropped_ = 0;
-};
 
 /// RAII phase timer. Arms only when `st` is non-null and ObsEnabled();
 /// otherwise construction and destruction are a cached branch each.
 /// On destruction adds the elapsed nanoseconds to st->phase_ns[phase] and,
-/// if st->spans is attached, appends the interval there.
+/// if st->trace is attached, appends the interval to its spans.
 class ScopedSpan {
  public:
   ScopedSpan(QueryStats* st, QueryPhase phase) : st_(nullptr), phase_(phase) {
@@ -81,7 +36,9 @@ class ScopedSpan {
     if (st_ == nullptr) return;
     const uint64_t end_ns = MonotonicNanos();
     st_->phase_ns[static_cast<size_t>(phase_)] += end_ns - start_ns_;
-    if (st_->spans != nullptr) st_->spans->Append(phase_, start_ns_, end_ns);
+    if (st_->trace != nullptr) {
+      st_->trace->AppendSpan(phase_, start_ns_, end_ns);
+    }
   }
 
   ScopedSpan(const ScopedSpan&) = delete;
@@ -113,7 +70,9 @@ class PhaseTimer {
     running_ = false;
     const uint64_t end_ns = MonotonicNanos();
     st_->phase_ns[static_cast<size_t>(phase_)] += end_ns - start_ns_;
-    if (st_->spans != nullptr) st_->spans->Append(phase_, start_ns_, end_ns);
+    if (st_->trace != nullptr) {
+      st_->trace->AppendSpan(phase_, start_ns_, end_ns);
+    }
   }
 
  private:

@@ -53,12 +53,12 @@ TelemetrySink& TelemetrySink::Global() {
   return *sink;
 }
 
-void TelemetrySink::Submit(const PhaseSpanLog& log, uint64_t query_id) {
-  if (log.spans().empty()) {
+void TelemetrySink::Submit(const QueryTrace& trace, uint64_t query_id) {
+  if (trace.spans().empty()) {
     return;
   }
   MutexLock lock(&mu_);
-  queries_.push_back(QuerySpans{query_id, log.spans()});
+  queries_.push_back(QuerySpans{query_id, trace.spans()});
 }
 
 std::vector<QuerySpans> TelemetrySink::Snapshot() const {

@@ -1,6 +1,7 @@
 #include "mcm/obs/trace.h"
 
 #include <algorithm>
+#include <atomic>
 
 namespace mcm {
 
@@ -22,6 +23,13 @@ const char* ToString(PruneReason reason) {
       return "witness";
   }
   return "unknown";
+}
+
+uint32_t CurrentThreadLane() {
+  static std::atomic<uint32_t> next_lane{0};
+  thread_local const uint32_t lane =
+      next_lane.fetch_add(1, std::memory_order_relaxed);
+  return lane;
 }
 
 QueryTrace::QueryTrace(size_t capacity)
@@ -92,6 +100,15 @@ void QueryTrace::RecordBufferFetch(uint64_t node, bool hit) {
   }
 }
 
+void QueryTrace::AppendSpan(QueryPhase phase, uint64_t start_ns,
+                            uint64_t end_ns) {
+  if (spans_.size() >= capacity_) {
+    ++dropped_spans_;
+    return;
+  }
+  spans_.push_back(PhaseSpan{phase, start_ns, end_ns, CurrentThreadLane()});
+}
+
 void QueryTrace::Clear() {
   events_.clear();
   next_ = 0;
@@ -102,6 +119,8 @@ void QueryTrace::Clear() {
   buffer_misses_ = 0;
   prunes_by_reason_.fill(0);
   levels_.clear();
+  spans_.clear();
+  dropped_spans_ = 0;
 }
 
 std::vector<TraceEvent> QueryTrace::Events() const {

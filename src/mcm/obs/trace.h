@@ -1,8 +1,10 @@
-// Per-query trace: a capped ring buffer of events (node visits, subtree
-// prunes, buffer-pool fetches) plus exact aggregate tallies that survive
-// ring overflow. A QueryTrace is attached to a query by pointing
-// QueryStats::trace at it; search paths emit events only when that pointer
-// is non-null, so untraced queries pay one branch per event site.
+// Per-query trace, the one observation record of a query: a capped ring
+// buffer of events (node visits, subtree prunes, buffer-pool fetches),
+// exact aggregate tallies that survive ring overflow, and the capped list
+// of phase spans the phase timers (obs/phase.h) recorded. A QueryTrace is
+// attached to a query by pointing QueryStats::trace at it; search paths
+// emit events only when that pointer is non-null, so untraced queries pay
+// one branch per event site.
 
 #ifndef MCM_OBS_TRACE_H_
 #define MCM_OBS_TRACE_H_
@@ -11,6 +13,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <vector>
+
+#include "mcm/common/query_stats.h"
 
 namespace mcm {
 
@@ -65,12 +69,29 @@ struct TraceLevelTally {
   uint64_t witness_avoided = 0;
 };
 
+/// One completed phase interval. Timestamps are MonotonicNanos() values;
+/// `lane` is a small dense id for the recording thread (Chrome-trace tid).
+struct PhaseSpan {
+  QueryPhase phase = QueryPhase::kPlan;
+  uint64_t start_ns = 0;
+  uint64_t end_ns = 0;
+  uint32_t lane = 0;
+};
+
+/// A small dense id for the calling thread, stable for the thread's
+/// lifetime. Used as the Chrome-trace thread lane.
+uint32_t CurrentThreadLane();
+
+/// Not thread-safe: each query owns its trace (the batch executor hands
+/// every query its own).
 class QueryTrace {
  public:
   static constexpr size_t kDefaultCapacity = 4096;
 
-  /// `capacity` caps the retained events; older events are overwritten
-  /// (ring buffer) and counted in dropped(). Aggregates stay exact.
+  /// `capacity` caps the retained events and, separately, the retained
+  /// spans. Past it, older events are overwritten (ring buffer) and counted
+  /// in dropped(); newer spans are dropped and counted in dropped_spans().
+  /// Aggregates stay exact.
   explicit QueryTrace(size_t capacity = kDefaultCapacity);
 
   void RecordVisit(uint64_t node, uint32_t level, uint32_t entries_scanned,
@@ -79,7 +100,11 @@ class QueryTrace {
   void RecordPrune(uint64_t node, uint32_t level, PruneReason reason);
   void RecordBufferFetch(uint64_t node, bool hit);
 
-  /// Resets the trace for reuse on the next query.
+  /// Appends a completed phase interval, tagged with the calling thread's
+  /// lane; dropped (and counted) once capacity() spans are held.
+  void AppendSpan(QueryPhase phase, uint64_t start_ns, uint64_t end_ns);
+
+  /// Resets the trace, events and spans alike, for reuse on the next query.
   void Clear();
 
   /// Retained events in chronological order (oldest first). When the ring
@@ -107,6 +132,10 @@ class QueryTrace {
   /// side of per-level residuals against the cost models.
   std::vector<double> LevelNodeVisits() const;
 
+  /// Completed phase spans in the order they ended.
+  const std::vector<PhaseSpan>& spans() const { return spans_; }
+  uint64_t dropped_spans() const { return dropped_spans_; }
+
  private:
   void Push(const TraceEvent& event);
   TraceLevelTally& LevelAt(uint32_t level);
@@ -122,6 +151,9 @@ class QueryTrace {
   uint64_t buffer_misses_ = 0;
   std::array<uint64_t, kNumPruneReasons> prunes_by_reason_{};
   std::vector<TraceLevelTally> levels_;
+
+  std::vector<PhaseSpan> spans_;
+  uint64_t dropped_spans_ = 0;
 };
 
 }  // namespace mcm

@@ -298,7 +298,7 @@ class ShardRouter {
   }
 
   /// Runs one shard search, folds its counters into `stats` (preserving
-  /// any attached trace / span log for the shard's events), and reports
+  /// any attached trace for the shard's events and spans), and reports
   /// the shard's own counters through `row`.
   template <typename SearchFn>
   std::vector<Result> SearchShard(size_t s, QueryStats* stats,
@@ -308,11 +308,9 @@ class ShardRouter {
     QueryStats local;
     if (stats != nullptr) {
       local.trace = stats->trace;
-      local.spans = stats->spans;
     }
     auto results = search(index_.tree(s), &local);
     local.trace = nullptr;
-    local.spans = nullptr;
     if (stats != nullptr) *stats += local;
     if (row != nullptr) {
       row->actual_nodes = local.nodes_accessed;

@@ -73,7 +73,7 @@ void ExpectConsistent(const ExplainReport& report) {
 
   uint64_t level_nodes = 0;
   uint64_t level_dists = 0;
-  for (const auto& a : report.level_actuals) {
+  for (const TraceLevelTally& a : report.trace.levels()) {
     level_nodes += a.node_visits;
     level_dists += a.distances;
   }
@@ -181,7 +181,7 @@ TEST(ExplainRender, JsonParsesWithSchemaKeys) {
   ASSERT_NE(actual, nullptr);
   const auto* levels = actual->Find("levels");
   ASSERT_TRUE(levels != nullptr && levels->is_array());
-  EXPECT_EQ(levels->array_value.size(), report.level_actuals.size());
+  EXPECT_EQ(levels->array_value.size(), report.NumLevels());
   const auto* nodes = actual->Find("nodes");
   ASSERT_TRUE(nodes != nullptr && nodes->is_number());
   EXPECT_EQ(static_cast<uint64_t>(nodes->number_value),

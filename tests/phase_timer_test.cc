@@ -1,5 +1,6 @@
 // Phase-timer contracts: spans arm only when stats are attached AND
-// observability is on; with obs off a query's answers and counters are
+// observability is on, and land in the attached QueryTrace next to its
+// visit events; with obs off a query's answers and counters are
 // bit-identical to an instrumented run while every phase total stays zero;
 // with obs on the traverse span encloses the distance-eval / page-read /
 // decode spans it triggers (the nesting the Chrome-trace exporter relies
@@ -16,6 +17,7 @@
 #include "mcm/mtree/mtree.h"
 #include "mcm/obs/metrics.h"
 #include "mcm/obs/phase.h"
+#include "mcm/obs/trace.h"
 
 namespace mcm {
 namespace {
@@ -72,33 +74,72 @@ TEST(ScopedSpan, ArmsOnlyWithStatsAndObsOn) {
 
 TEST(ScopedSpan, AppendsToAttachedLog) {
   ObsGuard obs(true);
-  PhaseSpanLog log;
+  QueryTrace trace;
   QueryStats stats;
-  stats.spans = &log;
+  stats.trace = &trace;
   { ScopedSpan span(&stats, QueryPhase::kDecode); }
   { ScopedSpan span(&stats, QueryPhase::kCollect); }
-  ASSERT_EQ(log.spans().size(), 2u);
-  EXPECT_EQ(log.spans()[0].phase, QueryPhase::kDecode);
-  EXPECT_EQ(log.spans()[1].phase, QueryPhase::kCollect);
-  EXPECT_LE(log.spans()[0].start_ns, log.spans()[0].end_ns);
+  ASSERT_EQ(trace.spans().size(), 2u);
+  EXPECT_EQ(trace.spans()[0].phase, QueryPhase::kDecode);
+  EXPECT_EQ(trace.spans()[1].phase, QueryPhase::kCollect);
+  EXPECT_LE(trace.spans()[0].start_ns, trace.spans()[0].end_ns);
   EXPECT_EQ(stats.TotalPhaseNs(),
             stats.PhaseNs(QueryPhase::kDecode) +
                 stats.PhaseNs(QueryPhase::kCollect));
 }
 
+// The trace's span list keeps the first `capacity` spans and counts the
+// newer ones it drops.
 TEST(PhaseSpanLog, DropsPastCapacity) {
   ObsGuard obs(true);
-  PhaseSpanLog log(2);
+  QueryTrace trace(2);
   QueryStats stats;
-  stats.spans = &log;
+  stats.trace = &trace;
   for (int i = 0; i < 5; ++i) {
-    ScopedSpan span(&stats, QueryPhase::kTraverse);
+    ScopedSpan span(&stats, i < 2 ? QueryPhase::kTraverse
+                                  : QueryPhase::kCollect);
   }
-  EXPECT_EQ(log.spans().size(), 2u);
-  EXPECT_EQ(log.dropped(), 3u);
-  log.Clear();
-  EXPECT_TRUE(log.spans().empty());
-  EXPECT_EQ(log.dropped(), 0u);
+  ASSERT_EQ(trace.spans().size(), 2u);
+  EXPECT_EQ(trace.spans()[1].phase, QueryPhase::kTraverse);  // Oldest kept.
+  EXPECT_EQ(trace.dropped_spans(), 3u);
+  trace.Clear();
+  EXPECT_TRUE(trace.spans().empty());
+  EXPECT_EQ(trace.dropped_spans(), 0u);
+}
+
+TEST(QueryTrace, HoldsEventsAndSpansThroughResetUntilClear) {
+  ObsGuard obs(true);
+  QueryTrace trace;
+  QueryStats stats;
+  stats.trace = &trace;
+  trace.RecordVisit(/*node=*/1, /*level=*/1, /*entries_scanned=*/3,
+                    /*entries_pruned=*/0, /*distances=*/3);
+  { ScopedSpan span(&stats, QueryPhase::kTraverse); }
+
+  // A search entry point resets the counters but keeps the attachment, and
+  // with it everything the trace already holds.
+  ResetCounters(&stats);
+  EXPECT_EQ(stats.trace, &trace);
+  EXPECT_EQ(trace.total_visits(), 1u);
+  EXPECT_EQ(trace.size(), 1u);
+  ASSERT_EQ(trace.spans().size(), 1u);
+  EXPECT_EQ(trace.spans()[0].phase, QueryPhase::kTraverse);
+
+  // The search appends to the same record.
+  const auto tree = BuildTree();
+  tree.RangeSearch(
+      GenerateVectorDataset(VectorDatasetKind::kClustered, 1, 4, 13)[0], 0.4,
+      &stats);
+  EXPECT_EQ(trace.total_visits(), 1u + stats.nodes_accessed);
+  EXPECT_GT(trace.spans().size(), 1u);
+
+  trace.Clear();
+  EXPECT_EQ(trace.size(), 0u);
+  EXPECT_EQ(trace.total_visits(), 0u);
+  EXPECT_TRUE(trace.levels().empty());
+  EXPECT_TRUE(trace.spans().empty());
+  EXPECT_EQ(trace.dropped(), 0u);
+  EXPECT_EQ(trace.dropped_spans(), 0u);
 }
 
 TEST(PhaseTimer, ManualStartStop) {
@@ -123,11 +164,11 @@ TEST(QueryStats, MergeAndResetKeepPhaseState) {
   EXPECT_EQ(a.PhaseNs(QueryPhase::kTraverse), 15u);
   EXPECT_EQ(a.PhaseNs(QueryPhase::kDecode), 3u);
 
-  PhaseSpanLog log;
-  a.spans = &log;
+  QueryTrace trace;
+  a.trace = &trace;
   ResetCounters(&a);
   EXPECT_EQ(a.TotalPhaseNs(), 0u);
-  EXPECT_EQ(a.spans, &log);  // Attachment survives the reset.
+  EXPECT_EQ(a.trace, &trace);  // Attachment survives the reset.
 }
 
 TEST(PhaseTimers, ObsOffIsBitIdentical) {
@@ -164,24 +205,24 @@ TEST(PhaseTimers, ObsOffIsBitIdentical) {
 TEST(PhaseTimers, TraverseEnclosesInnerPhases) {
   ObsGuard obs(true);
   const auto tree = BuildTree();
-  PhaseSpanLog log;
+  QueryTrace trace;
   QueryStats stats;
-  stats.spans = &log;
+  stats.trace = &trace;
   const auto results = tree.KnnSearch(
       GenerateVectorDataset(VectorDatasetKind::kClustered, 1, 4, 13)[0], 5,
       &stats);
   ASSERT_EQ(results.size(), 5u);
-  ASSERT_FALSE(log.spans().empty());
+  ASSERT_FALSE(trace.spans().empty());
 
   // Exactly one traverse span (single-threaded query), recorded last
   // because ScopedSpan logs on destruction.
   std::vector<PhaseSpan> traverse;
-  for (const auto& s : log.spans()) {
+  for (const auto& s : trace.spans()) {
     if (s.phase == QueryPhase::kTraverse) traverse.push_back(s);
   }
   ASSERT_EQ(traverse.size(), 1u);
   size_t inner = 0;
-  for (const auto& s : log.spans()) {
+  for (const auto& s : trace.spans()) {
     if (s.phase == QueryPhase::kTraverse || s.phase == QueryPhase::kCollect) {
       continue;
     }

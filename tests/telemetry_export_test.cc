@@ -54,18 +54,21 @@ std::string ReadFile(const std::string& path) {
   return buffer.str();
 }
 
-/// Runs one traced 4-worker batch and returns the sink's snapshot.
+/// Runs one 4-worker batch with a Chrome-trace path configured, which
+/// makes the executor trace every query and submit its spans, and returns
+/// the sink's snapshot. Nothing is written to the path without a flush.
 std::vector<QuerySpans> RunTracedBatch(size_t num_queries = 32) {
   const auto tree = BuildTree();
   const auto queries = GenerateVectorDataset(VectorDatasetKind::kClustered,
                                              num_queries, 4, 11);
   engine::ExecutorOptions options;
   options.num_threads = 4;
-  options.span_capacity = PhaseSpanLog::kDefaultCapacity;
   const engine::BatchExecutor<MTree<Traits>> executor(tree, options);
+  SetTraceOutForTesting("telemetry_export_test_unflushed.json");
   const auto batch = executor.RangeSearchBatch(queries, 0.4);
+  SetTraceOutForTesting("");
   EXPECT_EQ(batch.results.size(), num_queries);
-  EXPECT_EQ(batch.span_logs.size(), num_queries);
+  EXPECT_EQ(batch.traces.size(), num_queries);
   return TelemetrySink::Global().Snapshot();
 }
 

@@ -287,7 +287,7 @@ int CheckReport(const mcm::ExplainReport& report) {
   uint64_t level_nodes = 0;
   uint64_t level_dists = 0;
   uint64_t level_priced = 0;
-  for (const auto& a : report.level_actuals) {
+  for (const mcm::TraceLevelTally& a : report.trace.levels()) {
     level_nodes += a.node_visits;
     level_dists += a.distances;
     level_priced += a.distances + a.entries_pruned + a.witness_avoided;
